@@ -7,9 +7,9 @@
 //! under several solver profiles — executed on a fixed pool of
 //! work-stealing worker threads. The first *sound* lane answer decides the
 //! constraint and cancels its sibling lanes through a shared
-//! [`CancelFlag`]; losing lanes observe the flag at their next step-budget
-//! check, so cancellation latency is bounded by one budget slice rather
-//! than by a wall-clock timeout.
+//! [`CancelFlag`] carried by every lane [`Budget`]. Engines see it at their
+//! next budget step, and the bit-blaster at its next gate, so a losing lane
+//! stops within microseconds rather than at a wall-clock timeout.
 //!
 //! Soundness mirrors the paper's §4.4 case analysis:
 //!

@@ -124,21 +124,19 @@ impl Budget {
     }
 
     /// Consumes `n` steps and reports whether the budget is now exhausted.
-    /// The wall clock is consulted only every few thousand steps to keep the
-    /// check cheap in inner loops.
+    ///
+    /// Cancellation is seen on every call (one atomic load), so a cancelled
+    /// engine stops at its next step. The wall clock is consulted only when
+    /// the step count crosses a multiple of 4096, to keep the check cheap
+    /// in inner loops.
     pub fn consume(&self, n: u64) -> bool {
         let left = self.steps_left.get();
         let new_left = left.saturating_sub(n);
         self.steps_left.set(new_left);
-        if new_left == 0 {
+        if new_left == 0 || self.cancelled() {
             return true;
         }
-        // Check the clock (and cancellation) at step-count boundaries to
-        // amortize syscall cost.
-        if (left / 4096) != (new_left / 4096) {
-            return self.cancelled() || Instant::now() >= self.deadline;
-        }
-        false
+        (left / 4096) != (new_left / 4096) && Instant::now() >= self.deadline
     }
 
     /// Returns `true` if any limit has been reached or the budget was
@@ -219,9 +217,11 @@ mod tests {
         assert!(!b.exhausted());
         flag.cancel();
         assert!(b.exhausted());
-        // consume() notices at its next clock check boundary.
+        // consume() sees the flag on its very first call, far from any
+        // 4096-step clock boundary.
         let b2 = Budget::with_cancel(Duration::from_secs(3600), 10_000, flag);
-        assert!(b2.consume(5000), "crossing a 4096 boundary sees the flag");
+        assert!(b2.consume(1), "the first step after cancel() sees the flag");
+        assert_eq!(b2.steps_used(), 1);
     }
 
     #[test]

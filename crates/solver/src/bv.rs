@@ -18,18 +18,30 @@ use crate::sat::{Lit, SatConfig, SatSolver, SatSolverResult};
 /// Bit-blasts and solves a script whose sorts are only `Bool` and
 /// `(_ BitVec w)`.
 ///
+/// The encoder polls `budget`'s cancellation flag at every gate; once it
+/// trips, encoding stops and the answer is `Unknown(BudgetExhausted)`
+/// without running SAT.
+///
 /// # Panics
 ///
 /// Panics if the script contains non-bitvector, non-boolean sorts; callers
 /// dispatch on sorts first (see [`crate::Solver`]).
 pub fn solve_bv(script: &Script, config: SatConfig, budget: &Budget) -> (SatResult, SolverStats) {
     let mut core = BlastCore::new(config, false);
-    let mut blaster = Blaster::attach(script.store(), &mut core);
+    let mut blaster = Blaster::attach(script.store(), &mut core, budget);
     for &assertion in script.assertions() {
         let lit = blaster.encode_bool(assertion);
+        if blaster.cancelled {
+            break;
+        }
         blaster.core.sat.add_clause(&[lit]);
     }
-    let result = match blaster.core.sat.solve(budget) {
+    let outcome = if blaster.poll_cancel() {
+        SatSolverResult::Unknown
+    } else {
+        blaster.core.sat.solve(budget)
+    };
+    let result = match outcome {
         SatSolverResult::Sat => SatResult::Sat(blaster.extract_model(script.store())),
         SatSolverResult::Unsat => SatResult::Unsat,
         SatSolverResult::Unknown => SatResult::Unknown(UnknownReason::BudgetExhausted),
@@ -92,6 +104,12 @@ fn sort3(a: Lit, b: Lit, c: Lit) -> (Lit, Lit, Lit) {
 /// core as assumptions, never asserted as unit clauses, which is what
 /// makes the learned-clause database valid across checks (see
 /// [`SatSolver::solve_with_assumptions`]).
+///
+/// The same argument covers a check cancelled part-way through encoding:
+/// the cancellation poll sits before a gate is built, each gate's
+/// definition is emitted whole, and no root of the aborted check reaches
+/// SAT. So the core only ever holds complete definitions, and the gate
+/// cache only ever maps to them.
 pub(crate) struct BlastCore {
     pub(crate) sat: SatSolver,
     /// A literal constrained to be true (constants are this or its negation).
@@ -105,6 +123,9 @@ pub(crate) struct BlastCore {
     named_bools: HashMap<String, Lit>,
     /// Gate-cache hits observed (session diagnostics).
     cache_hits: u64,
+    /// Test hook: cancel the budget's flag after this many more
+    /// cancellation polls (see [`BvSession::cancel_after_polls`]).
+    cancel_countdown: Option<u64>,
 }
 
 impl BlastCore {
@@ -121,6 +142,7 @@ impl BlastCore {
             named_bits: HashMap::new(),
             named_bools: HashMap::new(),
             cache_hits: 0,
+            cancel_countdown: None,
         }
     }
 
@@ -157,6 +179,11 @@ impl BlastCore {
 pub(crate) struct Blaster<'a> {
     store: &'a TermStore,
     pub(crate) core: &'a mut BlastCore,
+    budget: &'a Budget,
+    /// Set once the budget's cancellation flag has been seen, and never
+    /// cleared. From then on no gate is built or looked up, and encoders
+    /// return placeholder literals that must never reach the SAT core.
+    cancelled: bool,
     bool_memo: HashMap<TermId, Lit>,
     bv_memo: HashMap<TermId, Bits>,
     var_bits: HashMap<SymbolId, Bits>,
@@ -172,11 +199,18 @@ pub(crate) struct Blaster<'a> {
 
 impl<'a> Blaster<'a> {
     /// Attaches a per-script blaster (term-id memo tables are scoped to
-    /// `store`) to persistent core state.
-    pub(crate) fn attach(store: &'a TermStore, core: &'a mut BlastCore) -> Blaster<'a> {
+    /// `store`) to persistent core state. Encoding polls `budget` for
+    /// cancellation.
+    pub(crate) fn attach(
+        store: &'a TermStore,
+        core: &'a mut BlastCore,
+        budget: &'a Budget,
+    ) -> Blaster<'a> {
         Blaster {
             store,
             core,
+            budget,
+            cancelled: false,
             bool_memo: HashMap::new(),
             bv_memo: HashMap::new(),
             var_bits: HashMap::new(),
@@ -194,13 +228,40 @@ impl<'a> Blaster<'a> {
         Lit::pos(self.core.sat.new_var())
     }
 
+    /// Whether the budget has been cancelled: one atomic load until the
+    /// flag is seen, then sticky.
+    fn poll_cancel(&mut self) -> bool {
+        if !self.cancelled {
+            match self.core.cancel_countdown {
+                Some(0) => {
+                    self.core.cancel_countdown = None;
+                    if let Some(flag) = self.budget.cancel_flag() {
+                        flag.cancel();
+                    }
+                }
+                Some(n) => self.core.cancel_countdown = Some(n - 1),
+                None => {}
+            }
+            self.cancelled = self.budget.is_cancelled();
+        }
+        self.cancelled
+    }
+
     /// Looks up `key` in the session gate cache, building (and caching)
     /// the gate on a miss; builds unconditionally in one-shot mode.
+    ///
+    /// Every gate with a definition passes through here, so this is where
+    /// cancellation is polled. The poll comes before the lookup and the
+    /// build, so a cancelled encode neither emits half a definition nor
+    /// caches a gate over placeholder inputs.
     fn gate_cached(
         &mut self,
         key: impl FnOnce() -> GateKey,
         build: impl FnOnce(&mut Self) -> Lit,
     ) -> Lit {
+        if self.poll_cancel() {
+            return self.core.tru;
+        }
         if !self.core.persist {
             return build(self);
         }
@@ -615,6 +676,9 @@ impl<'a> Blaster<'a> {
     // --- term encoding -------------------------------------------------------
 
     pub(crate) fn encode_bool(&mut self, id: TermId) -> Lit {
+        if self.poll_cancel() {
+            return self.core.tru;
+        }
         if let Some(&lit) = self.bool_memo.get(&id) {
             return lit;
         }
@@ -767,18 +831,21 @@ impl<'a> Blaster<'a> {
     }
 
     pub(crate) fn encode_bv(&mut self, id: TermId) -> Bits {
+        let width = match self.store.sort(id) {
+            Sort::BitVec(w) => w as usize,
+            s => panic!("expected bitvector sort, got {s}"),
+        };
+        if self.poll_cancel() {
+            // Placeholder bits of the right width keep callers' indexing
+            // in bounds on the way out.
+            return vec![self.core.tru; width];
+        }
         if let Some(bits) = self.bv_memo.get(&id) {
             return bits.clone();
         }
         let term = self.store.term(id).clone();
         let bits = self.encode_bv_uncached(&term);
-        debug_assert_eq!(
-            bits.len() as u32,
-            match self.store.sort(id) {
-                Sort::BitVec(w) => w,
-                s => panic!("expected bitvector sort, got {s}"),
-            }
-        );
+        debug_assert_eq!(bits.len(), width);
         self.bv_memo.insert(id, bits.clone());
         bits
     }
@@ -994,14 +1061,22 @@ impl BvSession {
             self.core.sat.restarts,
         );
         let (s0, st0) = (self.core.sat.subsumed, self.core.sat.strengthened);
-        let mut blaster = Blaster::attach(script.store(), &mut self.core);
+        let mut blaster = Blaster::attach(script.store(), &mut self.core, budget);
         let roots: Vec<Lit> = script
             .assertions()
             .iter()
             .map(|&a| blaster.encode_bool(a))
             .collect();
         self.last_core.clear();
-        let result = match blaster.core.sat.solve_with_assumptions(&roots, budget) {
+        // A cancelled encode's roots may be placeholders: they never reach
+        // SAT, and the definitions it did emit are complete (see
+        // [`BlastCore`]), so the session stays sound for later checks.
+        let outcome = if blaster.poll_cancel() {
+            SatSolverResult::Unknown
+        } else {
+            blaster.core.sat.solve_with_assumptions(&roots, budget)
+        };
+        let result = match outcome {
             SatSolverResult::Sat => SatResult::Sat(blaster.extract_model(script.store())),
             SatSolverResult::Unsat => {
                 // Map the assumption core back to assertion indices. A
@@ -1019,6 +1094,7 @@ impl BvSession {
             }
             SatSolverResult::Unknown => SatResult::Unknown(UnknownReason::BudgetExhausted),
         };
+        self.core.cancel_countdown = None;
         self.checks += 1;
         let stats = SolverStats {
             decisions: self.core.sat.decisions - d0,
@@ -1036,6 +1112,17 @@ impl BvSession {
     /// Number of checks performed so far.
     pub fn checks(&self) -> u64 {
         self.checks
+    }
+
+    /// Test hook for deterministic cancellation: during the next
+    /// [`BvSession::check`], the encoder cancels the budget's
+    /// [`crate::CancelFlag`] (if it has one) after `polls` cancellation
+    /// polls. Polls happen at every gate and on entry to every term
+    /// encoding, so this trips a check part-way through its bit-blast at a
+    /// reproducible point. The hook disarms when that check returns.
+    #[doc(hidden)]
+    pub fn cancel_after_polls(&mut self, polls: u64) {
+        self.core.cancel_countdown = Some(polls);
     }
 
     /// Cumulative structural gate-cache hits across all checks.
@@ -1408,6 +1495,99 @@ mod tests {
         // the low 8 bits are sliced out of the 16-bit encoding.
         let (r3, _) = session.check(&narrow, &Budget::unlimited());
         assert!(r3.is_sat());
+    }
+
+    fn cancelled_budget() -> Budget {
+        let flag = crate::CancelFlag::new();
+        flag.cancel();
+        Budget::with_cancel(std::time::Duration::from_secs(3600), u64::MAX, flag)
+    }
+
+    /// Sum of cubes at 10 bits: several multipliers, so cancellation has
+    /// many gates to land between.
+    const CUBES: &str = "(declare-fun x () (_ BitVec 10))
+         (declare-fun y () (_ BitVec 10))
+         (assert (not (bvsmulo x x)))
+         (assert (not (bvsmulo (bvmul x x) x)))
+         (assert (not (bvsmulo y y)))
+         (assert (not (bvsmulo (bvmul y y) y)))
+         (assert (= (bvadd (bvmul (bvmul x x) x) (bvmul (bvmul y y) y)) (_ bv35 10)))";
+
+    #[test]
+    fn cancelled_budget_answers_unknown_without_sat() {
+        let script = Script::parse(CUBES).unwrap();
+        let (r, stats) = solve_bv(&script, SatConfig::default(), &cancelled_budget());
+        assert!(matches!(
+            r,
+            SatResult::Unknown(UnknownReason::BudgetExhausted)
+        ));
+        assert_eq!((stats.decisions, stats.conflicts), (0, 0), "SAT ran");
+        let mut session = BvSession::new(SatConfig::default());
+        let (r, stats) = session.check(&script, &cancelled_budget());
+        assert!(matches!(
+            r,
+            SatResult::Unknown(UnknownReason::BudgetExhausted)
+        ));
+        assert_eq!((stats.decisions, stats.conflicts), (0, 0), "SAT ran");
+        assert!(session.last_unsat_core().is_empty());
+    }
+
+    /// A session whose check was cancelled part-way through the bit-blast
+    /// keeps answering exactly like a fresh one: the same script again,
+    /// a widened one, and an unsat one. Trip points sweep from the first
+    /// poll to past the end of the encoding.
+    #[test]
+    fn session_cancelled_mid_encode_stays_sound() {
+        let cubes = Script::parse(CUBES).unwrap();
+        let wide = Script::parse(&CUBES.replace("10)", "20)")).unwrap();
+        let parity =
+            Script::parse("(declare-fun x () (_ BitVec 10))(assert (= (bvadd x x) (_ bv7 10)))")
+                .unwrap();
+        let later = [&cubes, &wide, &parity, &cubes];
+        let fresh: Vec<SatResult> = later
+            .iter()
+            .map(|s| {
+                BvSession::new(SatConfig::default())
+                    .check(s, &Budget::unlimited())
+                    .0
+            })
+            .collect();
+        let (mut aborted, mut finished) = (0, 0);
+        let mut trip = 0u64;
+        while trip < 200_000 {
+            let mut session = BvSession::new(SatConfig::default());
+            session.cancel_after_polls(trip);
+            let flag = crate::CancelFlag::new();
+            let budget =
+                Budget::with_cancel(std::time::Duration::from_secs(3600), u64::MAX, flag.clone());
+            let (r, _) = session.check(&cubes, &budget);
+            if flag.is_cancelled() {
+                aborted += 1;
+                assert!(matches!(r, SatResult::Unknown(_)), "trip {trip}: {r:?}");
+            } else {
+                finished += 1;
+                assert!(r.is_sat(), "trip {trip}: {r:?}");
+            }
+            for (script, cold) in later.iter().zip(&fresh) {
+                let (warm, _) = session.check(script, &Budget::unlimited());
+                assert_eq!(
+                    (warm.is_sat(), warm.is_unsat()),
+                    (cold.is_sat(), cold.is_unsat()),
+                    "trip {trip}: verdict differs from a fresh session"
+                );
+                if let SatResult::Sat(model) = &warm {
+                    for &a in script.assertions() {
+                        let v = evaluate(script.store(), a, model).unwrap();
+                        assert_eq!(v, Value::Bool(true), "trip {trip}: bad model");
+                    }
+                }
+            }
+            trip = trip * 2 + 1;
+        }
+        assert!(
+            aborted > 5 && finished > 0,
+            "{aborted} aborted, {finished} finished"
+        );
     }
 
     #[test]

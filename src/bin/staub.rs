@@ -1116,6 +1116,21 @@ fn lint_main(args: Vec<String>) -> ExitCode {
     }
 }
 
+/// Writes `text` to a locked stdout. A reader that has already gone away
+/// (`staub --emit f | head`) is a clean exit: the text was only for it.
+fn emit(text: &dyn std::fmt::Display) -> ExitCode {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    match write!(out, "{text}").and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: cannot write output: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
 fn main() -> ExitCode {
     {
         let mut args = std::env::args().skip(1);
@@ -1190,8 +1205,7 @@ fn main() -> ExitCode {
             );
         }
         if options.emit {
-            print!("{}", reduced.script);
-            return ExitCode::SUCCESS;
+            return emit(&reduced.script);
         }
         let solver = Solver::new(options.profile).with_timeout(options.timeout);
         return match solver.solve(&reduced.script).result {
@@ -1229,8 +1243,7 @@ fn main() -> ExitCode {
                         transformed.guard_count
                     );
                 }
-                print!("{}", transformed.script);
-                ExitCode::SUCCESS
+                emit(&transformed.script)
             }
             Err(e) => {
                 eprintln!("error: cannot transform: {e}");

@@ -7,10 +7,16 @@
 //! `Sat` models are additionally required to be lint-clean (the
 //! `staub-lint` model-shape checks) and to satisfy the active assertions
 //! under exact evaluation.
+//!
+//! The warm bit-blasting engine is also driven through checks cancelled
+//! part-way through encoding, at a deterministic poll count: every later
+//! check must still answer like a fresh engine.
 
 use proptest::prelude::*;
 use staub::core::{Session, StaubConfig, StaubError, StaubOutcome};
 use staub::smtlib::{evaluate, Script, Value};
+use staub::solver::sat::SatConfig;
+use staub::solver::{Budget, BvSession, CancelFlag, SatResult};
 use std::time::Duration;
 
 /// One step of the incremental-scripting tape.
@@ -168,8 +174,101 @@ fn run_tape(decls: &str, pool: &[&str], steps: &[Step]) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// The bitvector script asserting the `BV_POOL` entries `picks`.
+fn bv_script(picks: &[usize]) -> Script {
+    let mut src = BV_DECLS.to_string();
+    for &i in picks {
+        src.push_str(BV_POOL[i % BV_POOL.len()]);
+    }
+    Script::parse(&src).expect("pool script parses")
+}
+
+/// Checks `picks` on `engine` with a fresh budget: the verdict must match
+/// a fresh engine's, and a model must pass exact evaluation.
+fn check_like_fresh(engine: &mut BvSession, picks: &[usize]) -> Result<(), TestCaseError> {
+    let script = bv_script(picks);
+    let (warm, _) = engine.check(&script, &Budget::unlimited());
+    let (cold, _) = BvSession::new(SatConfig::default()).check(&script, &Budget::unlimited());
+    prop_assert_eq!(
+        (warm.is_sat(), warm.is_unsat()),
+        (cold.is_sat(), cold.is_unsat()),
+        "warm engine diverges from a fresh one on {:?}",
+        picks
+    );
+    if let SatResult::Sat(model) = &warm {
+        for &a in script.assertions() {
+            prop_assert_eq!(
+                evaluate(script.store(), a, model).unwrap(),
+                Value::Bool(true),
+                "warm model fails exact evaluation on {:?}",
+                picks
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Checks `picks` on `engine` under a budget whose cancel flag the
+/// encoder trips after `trip` polls. Returns whether it tripped; if so,
+/// the answer must be `unknown`.
+fn check_cancelled_at(
+    engine: &mut BvSession,
+    picks: &[usize],
+    trip: u64,
+) -> Result<bool, TestCaseError> {
+    let flag = CancelFlag::new();
+    let budget = Budget::with_cancel(Duration::from_secs(3600), u64::MAX, flag.clone());
+    engine.cancel_after_polls(trip);
+    let (result, stats) = engine.check(&bv_script(picks), &budget);
+    if flag.is_cancelled() {
+        prop_assert!(
+            matches!(result, SatResult::Unknown(_)),
+            "cancelled check answered {:?}",
+            result
+        );
+        prop_assert_eq!(stats.decisions, 0, "SAT ran after cancellation");
+    }
+    Ok(flag.is_cancelled())
+}
+
+/// Directed: a check cancelled 20 polls into encoding a multiplier
+/// answers `unknown`; re-checking the same script reuses the gates that
+/// were completed before the trip and answers like a fresh engine.
+#[test]
+fn bv_engine_reuses_gates_of_a_cancelled_encode() {
+    let picks = [3, 1, 0];
+    let mut engine = BvSession::new(SatConfig::default());
+    assert!(check_cancelled_at(&mut engine, &picks, 20).unwrap());
+    let hits = engine.gate_cache_hits();
+    check_like_fresh(&mut engine, &picks).unwrap();
+    assert!(
+        engine.gate_cache_hits() > hits,
+        "the re-check rebuilt every gate"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// A warm engine whose check was cancelled part-way through its
+    /// bit-blast must answer the same script, and then arbitrary others,
+    /// exactly like a fresh engine.
+    #[test]
+    fn bv_engine_cancelled_mid_encode_agrees_with_fresh(
+        aborted in proptest::collection::vec(0..BV_POOL.len(), 1..6),
+        trip in 0u64..400,
+        later in proptest::collection::vec(
+            proptest::collection::vec(0..BV_POOL.len(), 1..6),
+            1..5,
+        ),
+    ) {
+        let mut engine = BvSession::new(SatConfig::default());
+        check_cancelled_at(&mut engine, &aborted, trip)?;
+        check_like_fresh(&mut engine, &aborted)?;
+        for picks in &later {
+            check_like_fresh(&mut engine, picks)?;
+        }
+    }
 
     #[test]
     fn lia_sessions_agree_with_from_scratch(
