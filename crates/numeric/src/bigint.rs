@@ -552,51 +552,107 @@ macro_rules! impl_from_unsigned {
 impl_from_signed!(i8, i16, i32, i64, i128, isize);
 impl_from_unsigned!(u8, u16, u32, u64, u128, usize);
 
+/// The largest power of ten that fits a limb: decimal conversion works in
+/// chunks of this many digits.
+const CHUNK_DIGITS: usize = 19;
+
+/// `10^CHUNK_DIGITS`.
+const CHUNK: u64 = 10_000_000_000_000_000_000;
+
+/// `a = a * m + add`, in place.
+fn mag_mul_add_small(a: &mut Vec<u64>, m: u64, add: u64) {
+    let mut carry = u128::from(add);
+    for limb in a.iter_mut() {
+        let t = u128::from(*limb) * u128::from(m) + carry;
+        *limb = t as u64;
+        carry = t >> 64;
+    }
+    if carry != 0 {
+        a.push(carry as u64);
+    }
+}
+
+/// `a = a / d` in place, returning the remainder; `d` must be non-zero.
+fn mag_div_small(a: &mut Vec<u64>, d: u64) -> u64 {
+    let d = u128::from(d);
+    let mut rem = 0u128;
+    for limb in a.iter_mut().rev() {
+        let cur = (rem << 64) | u128::from(*limb);
+        *limb = (cur / d) as u64;
+        rem = cur % d;
+    }
+    mag_trim(a);
+    rem as u64
+}
+
+/// Writes `v` in decimal, left-padded with zeros to `width` digits.
+fn write_u64(f: &mut fmt::Formatter<'_>, mut v: u64, width: usize) -> fmt::Result {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    while v != 0 {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    let at = at.min(digits.len() - width.max(1));
+    f.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+}
+
 impl FromStr for BigInt {
     type Err = ParseBigIntError;
 
+    /// Parses an optionally signed (`-` or `+`) decimal integer, one
+    /// 19-digit chunk at a time.
     fn from_str(s: &str) -> Result<BigInt, ParseBigIntError> {
-        let err = || ParseBigIntError {
-            offending: s.to_string(),
-        };
         let (sign, digits) = match s.strip_prefix('-') {
             Some(rest) => (Sign::Negative, rest),
             None => (Sign::Positive, s.strip_prefix('+').unwrap_or(s)),
         };
-        if digits.is_empty() {
-            return Err(err());
+        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(ParseBigIntError {
+                offending: s.to_string(),
+            });
         }
-        let mut acc = BigInt::zero();
-        let ten = BigInt::from(10);
-        for ch in digits.chars() {
-            let d = ch.to_digit(10).ok_or_else(err)?;
-            acc = &(&acc * &ten) + &BigInt::from(d);
+        // The first chunk takes the remainder, so every later one is full.
+        let first = match digits.len() % CHUNK_DIGITS {
+            0 => CHUNK_DIGITS,
+            r => r,
+        };
+        let (head, tail) = digits.as_bytes().split_at(first);
+        let value = |chunk: &[u8]| {
+            chunk
+                .iter()
+                .fold(0u64, |v, &b| v * 10 + u64::from(b - b'0'))
+        };
+        let mut limbs = vec![value(head)];
+        for chunk in tail.chunks(CHUNK_DIGITS) {
+            mag_mul_add_small(&mut limbs, CHUNK, value(chunk));
         }
-        if sign == Sign::Negative {
-            acc = -acc;
-        }
-        Ok(acc)
+        Ok(BigInt::from_mag(sign, limbs))
     }
 }
 
 impl fmt::Display for BigInt {
+    /// Prints in decimal, one 19-digit chunk at a time (a single limb
+    /// directly).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return f.write_str("0");
-        }
-        let mut digits = Vec::new();
-        let mut mag = self.limbs.clone();
-        let ten = [10u64];
-        while !mag.is_empty() {
-            let (q, r) = mag_div_rem(&mag, &ten);
-            digits.push(char::from(b'0' + r.first().copied().unwrap_or(0) as u8));
-            mag = q;
-        }
         if self.sign == Sign::Negative {
             f.write_str("-")?;
         }
-        let s: String = digits.iter().rev().collect();
-        f.write_str(&s)
+        if let [limb] = self.limbs[..] {
+            return write_u64(f, limb, 1);
+        }
+        let mut mag = self.limbs.clone();
+        let mut chunks = Vec::new();
+        while !mag.is_empty() {
+            chunks.push(mag_div_small(&mut mag, CHUNK));
+        }
+        let (top, rest) = chunks.split_last().unwrap_or((&0, &[]));
+        write_u64(f, *top, 1)?;
+        for &chunk in rest.iter().rev() {
+            write_u64(f, chunk, CHUNK_DIGITS)?;
+        }
+        Ok(())
     }
 }
 

@@ -4,93 +4,138 @@
 //! already solved even when the client reordered commutative arguments,
 //! renamed every symbol, or shuffled the assertion list. This module maps a
 //! [`Script`] to a *canonical form* that is invariant under exactly those
-//! transformations:
+//! transformations. It normalizes the assertions once into a flat node
+//! table, then runs four passes over flat arrays:
 //!
-//! 1. **Refinement pass** — variables start coloured by sort alone; each
-//!    round computes name-blind bottom-up *shape* hashes from the current
-//!    colours (commutative arguments combined order-insensitively), then
-//!    top-down *context* hashes (the sorted multiset of "where does this
-//!    node sit" contributions from its parents), and recolours every
-//!    variable by its context. The loop runs to a fixpoint of the induced
-//!    variable partition, Weisfeiler–Leman style: a single bottom-up pass
-//!    cannot separate variables whose subtrees tie but whose surrounding
-//!    contexts differ, and without that separation the numbering below
-//!    would fall back to argument position, which renaming can permute.
-//! 2. **Numbering pass** — symbols receive canonical indices `v0, v1, …` by
-//!    first occurrence in a deterministic, name-independent traversal
-//!    (assertions and commutative arguments ordered by refined shape hash).
-//! 3. **Hash pass** — a final structural hash over the renamed DAG, now
-//!    sorting commutative arguments by their *renamed* hashes.
-//! 4. **Serialisation pass** — the renamed DAG is written as a compact node
-//!    table, linear in the DAG size (a printed term could be exponential in
-//!    it, because hash-consing shares subterms). The [`Canonical::key`]
-//!    string is that table; [`Canonical::fingerprint`] hashes it.
+//! 0. **Normalization** — one post-order walk from the assertion roots
+//!    gives every reachable term a node: its tag string (operator name,
+//!    literal value, or a variable's sort) and the tag's hash, computed
+//!    once; its children as `u32` indices into one shared array; and
+//!    whether those children commute. Equivalent spellings meet here. The
+//!    parser reads the literal `(- 20)` as unary minus applied to `20` and
+//!    `(/ 321.0 16.0)` as a division, where programmatic builders intern
+//!    the constant directly, so both fold to the literal they denote and a
+//!    print/parse round trip cannot disturb the key. `(>= a b)` and
+//!    `(> a b)` flip to `(<= b a)` and `(< b a)`, and a binary strict Int
+//!    comparison with a literal tightens to the non-strict form, the bumped
+//!    literal becoming a leaf node of its own (`(< x 5)` is `(<= x 4)`).
+//!    Nodes are hash-consed by content, with commutative children sorted,
+//!    so the table holds each normalized subterm exactly once. A lookup
+//!    compares tag text and children: no hash value decides identity.
+//! 1. **Refinement** — each round computes name-blind bottom-up *shape*
+//!    hashes from the variables' current colours (initially their sorts),
+//!    then top-down *context* hashes (the multiset of "where does this node
+//!    sit" contributions from its parents, commutative arguments sharing
+//!    one slot), and mixes each variable's context into its colour. This is
+//!    Weisfeiler–Leman colour refinement: it separates variables whose
+//!    subtrees tie but whose surroundings differ, which a single bottom-up
+//!    pass cannot, and without which the numbering below would fall back
+//!    to argument position, which renaming can permute. It stops once a
+//!    round splits no class of variables, or after [`MAX_ROUNDS`] rounds.
+//! 2. **Numbering** — variables get canonical indices `v0, v1, …` by first
+//!    occurrence in a traversal that visits assertions and commutative
+//!    arguments in refined shape order, breaking ties by position.
+//! 3. **Renamed hash** — structural hashes of the renamed DAG. They order
+//!    commutative arguments and assertions for serialization, which
+//!    reconciles ties that pass 2 broke differently.
+//! 4. **Serialization** — one row `tag(child,…);` per node in post-order,
+//!    children named by row number, then `|` and the assertions' rows:
+//!    `(< x 5)` is `v0:Int();i4();<=(0,1);|2`. The table is linear in the
+//!    DAG size, where a printed term could be exponential in it. It is the
+//!    [`Canonical::key`]; [`Canonical::fingerprint`] is its FNV-1a-128 hash.
 //!
-//! The parser represents the SMT-LIB literal `(- 20)` as unary minus
-//! applied to `20` and `(/ 321.0 16.0)` as a real division, while
-//! programmatic builders intern the negative or rational constant
-//! directly; canonicalisation folds the former into the latter so printing
-//! and re-parsing a script never disturbs its key.
+//! **Hashing.** Passes 1 and 3 mix whole 128-bit words (a tag hash, a colour
+//! or canonical index, child hashes) with a multiply-xorshift step; the
+//! children of a commutative node and the contributions to a context
+//! combine as an order-free sum of mixed words. These hashes only order
+//! nodes. They are not stable across builds, and neither are keys.
 //!
-//! Equal keys imply the two scripts are α-equivalent modulo
-//! commutative-argument and assertion order, so a cache that compares full
-//! keys on fingerprint collision never conflates distinct constraints. The
-//! converse does not quite hold: constraints whose variables the refinement
-//! cannot separate (ties that persist through every round, i.e. symmetric
-//! up to automorphism for tree-shaped inputs) fall back to positional
-//! tie-breaking, which at worst costs a cache hit but never an answer.
+//! **Guarantees.** The key spells out the renamed, normalized DAG, so equal
+//! keys imply the two scripts are the same constraint up to renaming,
+//! argument and assertion order, and the normalizations above: a cache
+//! that compares full keys never conflates distinct constraints. The
+//! converse does not quite hold. Variables the refinement cannot separate
+//! (symmetric ones, or a long chain that would need more than
+//! [`MAX_ROUNDS`] rounds) fall back to a positional tie-break, which at
+//! worst costs a cache hit, never an answer.
 //!
 //! Traversals are iterative (explicit stacks), so inputs at the parser's
 //! nesting-depth cap do not threaten the thread stack here.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
+use std::fmt::Write as _;
+use std::hash::BuildHasher;
 
 use staub_numeric::{BigInt, BigRational};
 
 use crate::op::Op;
 use crate::script::Script;
 use crate::sort::Sort;
-use crate::term::{SymbolId, TermId, TermStore};
+use crate::term::{SymbolId, Term, TermId, TermStore};
 
-/// 128-bit FNV-1a, the fingerprint hash. Collisions are guarded by full
-/// key comparison, so the hash only needs to be well-distributed.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u128);
+/// Refinement rounds after which numbering falls back to the positional
+/// tie-break. The benchgen corpora stabilise well within it; a chain of
+/// `n` variables would otherwise take about `n / 2` rounds.
+const MAX_ROUNDS: usize = 16;
 
-impl Fnv {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+/// "No node" in the `u32` index arrays.
+const NONE: u32 = u32::MAX;
 
-    fn new() -> Fnv {
-        Fnv(Self::OFFSET)
-    }
+/// Odd multiplier for [`mix`] (the golden ratio's fractional bits, made
+/// odd).
+const MUL: u128 = 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835;
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
+/// Context contribution of being asserted.
+const ROOT: u128 = mix(0, 1);
 
-    fn write_u128(&mut self, v: u128) {
-        self.write(&v.to_le_bytes());
-    }
+/// Domain separator of context hashes.
+const CTX: u128 = mix(0, 2);
 
-    fn finish(self) -> u128 {
-        self.0
-    }
+/// Domain separator of commutative children.
+const COMM: u128 = mix(0, 3);
+
+/// Mixes one 128-bit word into a hash: multiply by an odd constant, then
+/// fold the high half into the low half.
+const fn mix(h: u128, w: u128) -> u128 {
+    let x = (h ^ w).wrapping_mul(MUL);
+    x ^ (x >> 64)
 }
 
-/// Hashes `tag` plus a sequence of child hashes.
-fn combine(tag: &str, children: &[u128]) -> u128 {
-    let mut h = Fnv::new();
-    h.write(tag.as_bytes());
-    h.write(b"(");
-    for &c in children {
-        h.write_u128(c);
+/// Hashes a tag's bytes sixteen at a time.
+fn hash_bytes(bytes: &[u8]) -> u128 {
+    bytes
+        .chunks(16)
+        .fold(mix(0, bytes.len() as u128), |h, chunk| {
+            let mut word = [0u8; 16];
+            word[..chunk.len()].copy_from_slice(chunk);
+            mix(h, u128::from_le_bytes(word))
+        })
+}
+
+/// 128-bit FNV-1a of the key: the fingerprint. Collisions are guarded by
+/// full key comparison, so it only needs to be well-distributed.
+fn fnv1a(bytes: &[u8]) -> u128 {
+    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+    bytes
+        .iter()
+        .fold(OFFSET, |h, &b| (h ^ u128::from(b)).wrapping_mul(PRIME))
+}
+
+/// Appends `n` in decimal.
+fn push_num(out: &mut String, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
     }
-    h.write(b")");
-    h.finish()
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Whether permuting the operator's arguments preserves meaning.
@@ -119,151 +164,230 @@ fn is_commutative(op: &Op) -> bool {
     )
 }
 
-/// The canonical-form tag for an operator head. Variables are rendered
-/// from the canonical numbering (`var_of`), so two α-equivalent scripts
-/// produce byte-identical tags.
-fn op_tag(store: &TermStore, op: &Op, var_of: impl Fn(SymbolId) -> usize) -> String {
-    match op {
-        Op::Var(sym) => format!("v{}:{}", var_of(*sym), store.symbol_sort(*sym)),
-        Op::IntConst(v) => format!("i{v}"),
-        Op::RealConst(v) => format!("r{v}"),
-        Op::BvConst(v) => format!("b{v}"),
-        Op::FpConst(v) => format!("f{}:{}:{v}", v.eb(), v.sb()),
-        Op::RmConst(m) => format!("m{m:?}"),
-        other => other.smtlib_name(),
+/// The value of a numeric literal node: borrowed from the store, or
+/// computed by folding.
+enum Lit<'s> {
+    Int(Cow<'s, BigInt>),
+    Real(Cow<'s, BigRational>),
+}
+
+/// One node of the normalized table.
+struct Node {
+    /// Byte range of the tag in [`Table::text`]; a variable's tag is `:`
+    /// and its sort, and its row prefixes `v` and its canonical index.
+    tag: (usize, usize),
+    /// Range of the children in [`Table::kids`].
+    kids: (usize, usize),
+    /// Whether the children commute.
+    comm: bool,
+    /// The symbol of a variable node.
+    var: Option<SymbolId>,
+}
+
+/// The normalized node table. Nodes are in post-order, so children always
+/// precede their parents.
+struct Table<'s> {
+    store: &'s TermStore,
+    nodes: Vec<Node>,
+    tag_hash: Vec<u128>,
+    /// Literal value per node, for folding and tightening.
+    lit: Vec<Option<Lit<'s>>>,
+    /// All tags, back to back.
+    text: String,
+    /// All children lists, back to back.
+    kids: Vec<u32>,
+    /// Open-addressed index of the non-variable nodes by content.
+    slots: Vec<u32>,
+    /// Per-call random key of slot positions, so that input crafted to
+    /// collide in [`mix`] cannot pile nodes onto one probe sequence.
+    seed: u128,
+}
+
+impl<'s> Table<'s> {
+    /// Normalizes every term reachable from `roots` in one post-order walk;
+    /// returns the table and the roots' nodes.
+    fn build(store: &'s TermStore, roots: &[TermId]) -> (Table<'s>, Vec<u32>) {
+        // At most one node per term plus one tightened literal per term,
+        // so the index stays at most half full.
+        let slots = (4 * store.len() + 2).next_power_of_two();
+        let mut table = Table {
+            store,
+            nodes: Vec::new(),
+            tag_hash: Vec::new(),
+            lit: Vec::new(),
+            text: String::new(),
+            kids: Vec::new(),
+            slots: vec![NONE; slots],
+            seed: u128::from(RandomState::new().hash_one(())),
+        };
+        let mut node_of = vec![NONE; store.len()];
+        let mut walk: Vec<(TermId, bool)> = roots.iter().map(|&r| (r, false)).collect();
+        while let Some((id, expanded)) = walk.pop() {
+            if node_of[id.index()] != NONE {
+                continue;
+            }
+            if expanded {
+                node_of[id.index()] = table.add(store.term(id), &node_of);
+            } else {
+                walk.push((id, true));
+                let args = store.term(id).args().iter();
+                walk.extend(
+                    args.filter(|a| node_of[a.index()] == NONE)
+                        .map(|&a| (a, false)),
+                );
+            }
+        }
+        let roots = roots.iter().map(|r| node_of[r.index()]).collect();
+        (table, roots)
     }
-}
 
-/// A numeric literal value recovered by constant folding.
-#[derive(Clone)]
-enum Lit {
-    Int(BigInt),
-    Real(BigRational),
-}
-
-/// Computes the canonical leaf tag, if any, of every term: direct
-/// constants, plus the composite spellings the printer emits for them.
-/// SMT-LIB has no negative or rational numerals, so `-20` prints as
-/// `(- 20)` and `321/16` as `(/ 321.0 16.0)`, which parse back as `Neg` /
-/// `RealDiv` applications even though programmatic builders intern the
-/// literal directly — folding makes both spellings canonicalise
-/// identically. Division by zero is left unfolded (it has no literal
-/// value). A folded term is treated as a leaf by every pass: its
-/// arguments are never visited.
-fn fold_constants(store: &TermStore, ids: &[TermId]) -> (Vec<Option<String>>, Vec<Option<Lit>>) {
-    let mut lit: Vec<Option<Lit>> = vec![None; ids.len()];
-    let mut folded: Vec<Option<String>> = vec![None; ids.len()];
-    for &id in ids {
-        let t = store.term(id);
-        let value = match t.op() {
-            Op::IntConst(v) => Some(Lit::Int(v.clone())),
-            Op::RealConst(v) => Some(Lit::Real(v.clone())),
-            Op::Neg => match &lit[t.args()[0].index()] {
-                Some(Lit::Int(v)) => Some(Lit::Int(-v.clone())),
-                Some(Lit::Real(v)) => Some(Lit::Real(-v.clone())),
+    /// Adds the normalized node of `term`, whose arguments all have nodes.
+    fn add(&mut self, term: &'s Term, node_of: &[u32]) -> u32 {
+        let kid = |k: usize| node_of[term.args()[k].index()] as usize;
+        let folded = match term.op() {
+            Op::IntConst(v) => Some(Lit::Int(Cow::Borrowed(v))),
+            Op::RealConst(v) => Some(Lit::Real(Cow::Borrowed(v))),
+            Op::Neg => match &self.lit[kid(0)] {
+                Some(Lit::Int(v)) => Some(Lit::Int(Cow::Owned(-v.as_ref()))),
+                Some(Lit::Real(v)) => Some(Lit::Real(Cow::Owned(-v.as_ref()))),
                 None => None,
             },
-            Op::RealDiv if t.args().len() == 2 => {
-                match (&lit[t.args()[0].index()], &lit[t.args()[1].index()]) {
-                    (Some(Lit::Real(a)), Some(Lit::Real(b))) if !b.is_zero() => {
-                        Some(Lit::Real(a / b))
-                    }
-                    _ => None,
+            // Division by zero has no literal value and stays unfolded.
+            Op::RealDiv if term.args().len() == 2 => match (&self.lit[kid(0)], &self.lit[kid(1)]) {
+                (Some(Lit::Real(a)), Some(Lit::Real(b))) if !b.is_zero() => {
+                    Some(Lit::Real(Cow::Owned(a.as_ref() / b.as_ref())))
                 }
-            }
+                _ => None,
+            },
+            Op::Le | Op::Lt | Op::Ge | Op::Gt => return self.comparison(term, node_of),
             _ => None,
         };
-        folded[id.index()] = match (&value, t.op()) {
-            (Some(Lit::Int(v)), _) => Some(format!("i{v}")),
-            (Some(Lit::Real(v)), _) => Some(format!("r{v}")),
-            (None, Op::BvConst(v)) => Some(format!("b{v}")),
-            (None, Op::FpConst(v)) => Some(format!("f{}:{}:{v}", v.eb(), v.sb())),
-            (None, Op::RmConst(m)) => Some(format!("m{m:?}")),
-            (None, _) => None,
-        };
-        lit[id.index()] = value;
-    }
-    (folded, lit)
-}
-
-/// Normalized view of a comparison term, applied uniformly by every pass
-/// below so that equivalent inequality spellings share one canonical form:
-///
-/// * `(>= a b)` / `(> a b)` flip to `(<= b a)` / `(< b a)` (chains reverse
-///   whole), and
-/// * a binary *strict* Int comparison against a folded integer literal
-///   tightens to the non-strict form — `(< t c)` ⇔ `(<= t c-1)` and
-///   `(< c t)` ⇔ `(<= c+1 t)` over ℤ.
-///
-/// The tightened literal never exists as an interned term, so an
-/// overridden slot carries its leaf tag directly and the original literal
-/// child is neither traversed nor serialised through this parent.
-struct CmpNorm {
-    /// The normalized head (`Op::Le` or `Op::Lt`).
-    op: Op,
-    /// Arguments in normalized order.
-    args: Vec<TermId>,
-    /// Per-slot replacement leaf tag (the bumped literal), when tightened.
-    overrides: Vec<Option<String>>,
-}
-
-/// Computes the [`CmpNorm`] of every comparison term (`None` elsewhere).
-fn normalize_cmps(store: &TermStore, ids: &[TermId], lit: &[Option<Lit>]) -> Vec<Option<CmpNorm>> {
-    let mut norm: Vec<Option<CmpNorm>> = Vec::with_capacity(ids.len());
-    for &id in ids {
-        let t = store.term(id);
-        let n = match t.op() {
-            Op::Le | Op::Lt | Op::Ge | Op::Gt => {
-                let mut args = t.args().to_vec();
-                if matches!(t.op(), Op::Ge | Op::Gt) {
-                    args.reverse();
-                }
-                let mut op = if matches!(t.op(), Op::Lt | Op::Gt) {
-                    Op::Lt
-                } else {
-                    Op::Le
-                };
-                let mut overrides: Vec<Option<String>> = vec![None; args.len()];
-                if op == Op::Lt && args.len() == 2 {
-                    let ints = args.iter().all(|&a| store.sort(a) == Sort::Int);
-                    let la = &lit[args[0].index()];
-                    let lb = &lit[args[1].index()];
-                    match (ints, la, lb) {
-                        // Both literal: tighten the right-hand side.
-                        (true, _, Some(Lit::Int(c))) => {
-                            op = Op::Le;
-                            overrides[1] = Some(format!("i{}", c - &BigInt::from(1)));
-                        }
-                        (true, Some(Lit::Int(c)), None) => {
-                            op = Op::Le;
-                            overrides[0] = Some(format!("i{}", c + &BigInt::from(1)));
-                        }
-                        _ => {}
-                    }
-                }
-                Some(CmpNorm {
-                    op,
-                    args,
-                    overrides,
-                })
+        if let Some(lit) = folded {
+            return self.literal(lit);
+        }
+        let (text0, kids0) = (self.text.len(), self.kids.len());
+        let mut var = None;
+        match term.op() {
+            Op::Var(sym) => {
+                var = Some(*sym);
+                write!(self.text, ":{}", self.store.symbol_sort(*sym))
             }
-            _ => None,
-        };
-        norm.push(n);
+            Op::BvConst(v) => write!(self.text, "b{v}"),
+            Op::FpConst(v) => write!(self.text, "f{}:{}:{v}", v.eb(), v.sb()),
+            Op::RmConst(m) => write!(self.text, "m{m:?}"),
+            op => {
+                self.text.push_str(&op.smtlib_name());
+                Ok(())
+            }
+        }
+        .expect("writing to a String cannot fail");
+        self.kids
+            .extend(term.args().iter().map(|a| node_of[a.index()]));
+        self.intern(text0, kids0, is_commutative(term.op()), var)
     }
-    norm
-}
 
-/// Interns one serialised node row, deduplicating by content.
-fn intern_row(row: String, row_of: &mut HashMap<String, usize>, table: &mut String) -> usize {
-    match row_of.get(&row) {
-        Some(&existing) => existing,
-        None => {
-            let fresh = row_of.len();
-            table.push_str(&row);
-            table.push(';');
-            row_of.insert(row, fresh);
-            fresh
+    /// Adds a literal leaf (`i-20`, `r321/16`), keeping its value.
+    fn literal(&mut self, lit: Lit<'s>) -> u32 {
+        let text0 = self.text.len();
+        match &lit {
+            Lit::Int(v) => write!(self.text, "i{v}"),
+            Lit::Real(v) => write!(self.text, "r{v}"),
+        }
+        .expect("writing to a String cannot fail");
+        let node = self.intern(text0, self.kids.len(), false, None);
+        self.lit[node as usize].get_or_insert(lit);
+        node
+    }
+
+    /// Adds a comparison in normalized form: `>=`/`>` flip to `<=`/`<`,
+    /// and a binary strict Int comparison with a literal tightens to `<=`
+    /// over the bumped literal — `(< t c)` ⇔ `(<= t c-1)` and `(< c t)` ⇔
+    /// `(<= c+1 t)` over ℤ (with two literals, the right one moves).
+    fn comparison(&mut self, term: &Term, node_of: &[u32]) -> u32 {
+        let kids0 = self.kids.len();
+        self.kids
+            .extend(term.args().iter().map(|a| node_of[a.index()]));
+        if matches!(term.op(), Op::Ge | Op::Gt) {
+            self.kids[kids0..].reverse();
+        }
+        let mut strict = matches!(term.op(), Op::Lt | Op::Gt);
+        let ints = term.args().iter().all(|&a| self.store.sort(a) == Sort::Int);
+        if strict && ints && term.args().len() == 2 {
+            let lit = |k: usize| &self.lit[self.kids[kids0 + k] as usize];
+            let bumped = match (lit(0), lit(1)) {
+                (_, Some(Lit::Int(c))) => Some((1, c.as_ref() - &BigInt::one())),
+                (Some(Lit::Int(c)), _) => Some((0, c.as_ref() + &BigInt::one())),
+                _ => None,
+            };
+            if let Some((k, c)) = bumped {
+                self.kids[kids0 + k] = self.literal(Lit::Int(Cow::Owned(c)));
+                strict = false;
+            }
+        }
+        let text0 = self.text.len();
+        self.text.push_str(if strict { "<" } else { "<=" });
+        self.intern(text0, kids0, false, None)
+    }
+
+    /// Finishes the node with tag `text[text0..]` and children
+    /// `kids[kids0..]`: returns the node with the same content if there is
+    /// one, else appends it. Variables are never merged (the store holds
+    /// one term per symbol).
+    fn intern(&mut self, text0: usize, kids0: usize, comm: bool, var: Option<SymbolId>) -> u32 {
+        if comm {
+            self.kids[kids0..].sort_unstable();
+        }
+        let tag_hash = hash_bytes(&self.text.as_bytes()[text0..]);
+        let mask = self.slots.len() - 1;
+        let content = self.kids[kids0..]
+            .iter()
+            .fold(tag_hash, |h, &k| mix(h, u128::from(k)));
+        let mut slot = mix(content, self.seed) as usize & mask;
+        while var.is_none() && self.slots[slot] != NONE {
+            let other = self.slots[slot] as usize;
+            let node = &self.nodes[other];
+            if self.tag_hash[other] == tag_hash
+                && self.text[node.tag.0..node.tag.1] == self.text[text0..]
+                && self.kids[node.kids.0..node.kids.1] == self.kids[kids0..]
+            {
+                self.text.truncate(text0);
+                self.kids.truncate(kids0);
+                return other as u32;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let id = u32::try_from(self.nodes.len()).expect("node count fits u32");
+        if var.is_none() {
+            self.slots[slot] = id;
+        }
+        self.nodes.push(Node {
+            tag: (text0, self.text.len()),
+            kids: (kids0, self.kids.len()),
+            comm,
+            var,
+        });
+        self.tag_hash.push(tag_hash);
+        self.lit.push(None);
+        id
+    }
+
+    /// Hashes every node bottom-up from its tag hash and its children's
+    /// hashes; `var_word(i)` is the extra word of variable node `i`.
+    fn hash_up(&self, out: &mut [u128], var_word: impl Fn(usize) -> u128) {
+        for (i, node) in self.nodes.iter().enumerate() {
+            let kids = &self.kids[node.kids.0..node.kids.1];
+            let h = if node.var.is_some() {
+                mix(self.tag_hash[i], var_word(i))
+            } else if node.comm {
+                let sum = kids
+                    .iter()
+                    .fold(0u128, |s, &k| s.wrapping_add(mix(COMM, out[k as usize])));
+                mix(mix(self.tag_hash[i], kids.len() as u128), sum)
+            } else {
+                kids.iter()
+                    .fold(self.tag_hash[i], |h, &k| mix(h, out[k as usize]))
+            };
+            out[i] = h;
         }
     }
 }
@@ -278,7 +402,8 @@ pub struct Canonical {
     /// Serialised canonical DAG. Equal keys ⇒ the scripts are equivalent
     /// up to symbol renaming, commutative-argument order, and assertion
     /// order; compare keys on fingerprint collision before trusting a
-    /// cached answer.
+    /// cached answer. Keys are only comparable between scripts
+    /// canonicalized by the same build.
     pub key: String,
     /// `vars[k]` is the symbol this script binds to canonical index `k`.
     vars: Vec<SymbolId>,
@@ -307,342 +432,153 @@ impl Canonical {
 /// Declarations that no assertion mentions do not contribute: they cannot
 /// affect the verdict, and ignoring them widens the cache's reach.
 pub fn canonicalize(script: &Script) -> Canonical {
-    let store = script.store();
-    let n = store.len();
-    let ids: Vec<TermId> = store.ids().collect();
+    canonical_form(script).0
+}
 
-    // Constant folding: a term with a constant tag is a leaf from here on
-    // (see `fold_constants` for why `(- 20)` must fold to the literal
-    // `-20` and `(/ 321.0 16.0)` to `321/16`). Comparisons are then viewed
-    // through their normalized spelling (see `CmpNorm`) by every pass.
-    let (folded, lit) = fold_constants(store, &ids);
-    let cmp_norm = normalize_cmps(store, &ids, &lit);
+/// [`canonicalize`], plus the number of refinement rounds it ran.
+fn canonical_form(script: &Script) -> (Canonical, usize) {
+    let (mut table, mut roots) = Table::build(script.store(), script.assertions());
+    // Hash-consing made node identity content identity, so this drops
+    // exactly the assertions whose rows would repeat.
+    roots.sort_unstable();
+    roots.dedup();
+    let n = table.nodes.len();
 
-    // Reachability from the assertion roots, recording each variable's
-    // (hash-consed, hence unique) term. Unreachable terms never touch the
-    // key, and a folded term's argument is deliberately left unreached.
-    let mut reach = vec![false; n];
-    let mut var_node: HashMap<SymbolId, TermId> = HashMap::new();
-    let mut stack: Vec<TermId> = script.assertions().to_vec();
-    while let Some(id) = stack.pop() {
-        if reach[id.index()] {
-            continue;
-        }
-        reach[id.index()] = true;
-        if folded[id.index()].is_some() {
-            continue;
-        }
-        let t = store.term(id);
-        if let Op::Var(sym) = t.op() {
-            var_node.insert(*sym, id);
-        }
-        stack.extend_from_slice(t.args());
-    }
-    let mut var_syms: Vec<SymbolId> = var_node.keys().copied().collect();
-    var_syms.sort_unstable();
-
-    // Pass 1: colour refinement to a fixpoint of the variable partition.
-    // Every round either refines the partition (at most |vars| times) or
-    // detects stability, so the bound below always suffices; interning
-    // order makes a forward sweep bottom-up and a reverse sweep top-down.
-    let root_mark = combine("!root", &[]);
-    let mut colour: HashMap<SymbolId, u128> = var_syms
-        .iter()
-        .map(|&s| (s, combine(&format!("{}", store.symbol_sort(s)), &[])))
-        .collect();
+    // Pass 1: colour refinement. Mixing the old colour into the new one
+    // makes every round refine the variable partition, so a round that
+    // does not add a class has reached the fixpoint.
+    let mut colour = vec![0u128; n];
     let mut shape = vec![0u128; n];
-    let mut partition: Vec<usize> = Vec::new();
-    for _round in 0..=var_syms.len() {
-        // Bottom-up shape hashes under the current colouring.
-        for &id in &ids {
-            let i = id.index();
-            if !reach[i] {
-                continue;
-            }
-            if let Some(tag) = &folded[i] {
-                shape[i] = combine(tag, &[]);
-                continue;
-            }
-            let t = store.term(id);
-            if let Some(nm) = &cmp_norm[i] {
-                let tag = op_tag(store, &nm.op, |_| usize::MAX);
-                let child: Vec<u128> = nm
-                    .args
-                    .iter()
-                    .zip(&nm.overrides)
-                    .map(|(a, ov)| match ov {
-                        Some(leaf) => combine(leaf, &[]),
-                        None => shape[a.index()],
-                    })
-                    .collect();
-                shape[i] = combine(&tag, &child);
-                continue;
-            }
-            let tag = match t.op() {
-                Op::Var(sym) => {
-                    format!("v({:032x}):{}", colour[sym], store.symbol_sort(*sym))
-                }
-                other => op_tag(store, other, |_| usize::MAX),
-            };
-            let mut child: Vec<u128> = t.args().iter().map(|a| shape[a.index()]).collect();
-            if is_commutative(t.op()) {
-                child.sort_unstable();
-            }
-            shape[i] = combine(&tag, &child);
-        }
-        // Top-down context hashes: each node's context is the sorted
-        // multiset of its parents' contributions; commutative arguments
-        // all share one slot so argument order cannot leak in.
-        let mut parts: Vec<Vec<u128>> = vec![Vec::new(); n];
-        for &root in script.assertions() {
-            parts[root.index()].push(root_mark);
-        }
-        let mut ctx = vec![0u128; n];
-        for &id in ids.iter().rev() {
-            let i = id.index();
-            if !reach[i] {
-                continue;
-            }
-            parts[i].sort_unstable();
-            ctx[i] = combine("ctx", &parts[i]);
-            if folded[i].is_some() {
-                continue;
-            }
-            let t = store.term(id);
-            if let Some(nm) = &cmp_norm[i] {
-                for (slot, (&a, ov)) in nm.args.iter().zip(&nm.overrides).enumerate() {
-                    if ov.is_none() {
-                        parts[a.index()].push(combine("at", &[ctx[i], shape[i], slot as u128]));
-                    }
-                }
-                continue;
-            }
-            let comm = is_commutative(t.op());
-            for (slot, &a) in t.args().iter().enumerate() {
-                let pos = if comm { u128::MAX } else { slot as u128 };
-                parts[a.index()].push(combine("at", &[ctx[i], shape[i], pos]));
-            }
-        }
-        // Recolour the variables by context and stop once the induced
-        // partition (which classes exist, not the hash values) is stable.
-        for &sym in &var_syms {
-            colour.insert(sym, ctx[var_node[&sym].index()]);
-        }
-        let mut classes: Vec<u128> = var_syms.iter().map(|s| colour[s]).collect();
+    let mut ctx_sum = vec![0u128; n];
+    let mut classes: Vec<u128> = Vec::new();
+    let mut count_classes = |colour: &[u128]| {
+        classes.clear();
+        classes.extend(
+            table
+                .nodes
+                .iter()
+                .zip(colour)
+                .filter(|(node, _)| node.var.is_some())
+                .map(|(_, &c)| c),
+        );
         classes.sort_unstable();
         classes.dedup();
-        let next: Vec<usize> = var_syms
-            .iter()
-            .map(|s| classes.binary_search(&colour[s]).expect("own colour"))
-            .collect();
-        if next == partition {
+        classes.len()
+    };
+    let mut class_count = count_classes(&colour);
+    let mut rounds = 0;
+    while rounds < MAX_ROUNDS {
+        rounds += 1;
+        table.hash_up(&mut shape, |i| colour[i]);
+        ctx_sum.fill(0);
+        for &r in &roots {
+            ctx_sum[r as usize] = ctx_sum[r as usize].wrapping_add(ROOT);
+        }
+        for (i, node) in table.nodes.iter().enumerate().rev() {
+            let ctx = mix(CTX, ctx_sum[i]);
+            if node.var.is_some() {
+                colour[i] = mix(colour[i], ctx);
+            }
+            let base = mix(ctx, shape[i]);
+            for (slot, &k) in table.kids[node.kids.0..node.kids.1].iter().enumerate() {
+                let at = if node.comm { COMM } else { slot as u128 };
+                ctx_sum[k as usize] = ctx_sum[k as usize].wrapping_add(mix(base, at));
+            }
+        }
+        let next = count_classes(&colour);
+        if next == class_count {
             break;
         }
-        partition = next;
+        class_count = next;
     }
 
-    // Pass 2: canonical symbol numbering by first occurrence in a
-    // shape-ordered traversal. Assertion roots and commutative arguments
-    // are visited in (refined shape hash, original position) order, so the
-    // numbering does not depend on the original names, and after the
-    // refinement above a positional tie-break only ever chooses between
-    // interchangeable variables.
-    let mut roots: Vec<TermId> = script.assertions().to_vec();
-    roots.sort_by_key(|id| shape[id.index()]);
-    let mut var_index: HashMap<SymbolId, usize> = HashMap::new();
-    let mut vars: Vec<SymbolId> = Vec::new();
+    // Pass 2: number the variables by first occurrence, visiting roots and
+    // commutative children in (shape, node) order. Sorting a commutative
+    // node's children in place is safe: every later pass either ignores
+    // their order or sorts them again.
+    roots.sort_unstable_by_key(|&r| (shape[r as usize], r));
+    let mut num = vec![NONE; n];
     let mut seen = vec![false; n];
-    let mut stack: Vec<TermId> = Vec::new();
+    let mut vars = Vec::new();
+    let mut stack: Vec<u32> = Vec::new();
     for &root in &roots {
         stack.push(root);
-        while let Some(id) = stack.pop() {
-            if seen[id.index()] {
+        while let Some(i) = stack.pop() {
+            let i = i as usize;
+            if std::mem::replace(&mut seen[i], true) {
                 continue;
             }
-            seen[id.index()] = true;
-            if folded[id.index()].is_some() {
-                continue;
+            let node = &table.nodes[i];
+            if let Some(sym) = node.var {
+                num[i] = u32::try_from(vars.len()).expect("variable count fits u32");
+                vars.push(sym);
             }
-            let t = store.term(id);
-            if let Op::Var(sym) = t.op() {
-                var_index.entry(*sym).or_insert_with(|| {
-                    vars.push(*sym);
-                    vars.len() - 1
-                });
+            let kids = &mut table.kids[node.kids.0..node.kids.1];
+            if node.comm {
+                kids.sort_unstable_by_key(|&k| (shape[k as usize], k));
             }
-            let mut order: Vec<TermId> = match &cmp_norm[id.index()] {
-                Some(nm) => nm
-                    .args
-                    .iter()
-                    .zip(&nm.overrides)
-                    .filter(|(_, ov)| ov.is_none())
-                    .map(|(&a, _)| a)
-                    .collect(),
-                None => t.args().to_vec(),
-            };
-            if is_commutative(t.op()) {
-                let mut keyed: Vec<(u128, usize, TermId)> = order
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &a)| (shape[a.index()], i, a))
-                    .collect();
-                keyed.sort();
-                order = keyed.into_iter().map(|(_, _, a)| a).collect();
-            }
-            // Reverse so the stack pops arguments in traversal order.
-            for &a in order.iter().rev() {
-                stack.push(a);
-            }
+            stack.extend(kids.iter().rev());
         }
     }
 
-    // Pass 3: final structural hashes over the *renamed* DAG, sorting
-    // commutative arguments by renamed hash (this is what reconciles
-    // positional tie-breaks that pass 2 resolved differently).
-    let mut chash = vec![0u128; n];
-    for &id in &ids {
-        let i = id.index();
-        if !reach[i] {
-            continue;
-        }
-        if let Some(tag) = &folded[i] {
-            chash[i] = combine(tag, &[]);
-            continue;
-        }
-        let t = store.term(id);
-        if let Some(nm) = &cmp_norm[i] {
-            let tag = op_tag(store, &nm.op, |sym| var_index[&sym]);
-            let child: Vec<u128> = nm
-                .args
-                .iter()
-                .zip(&nm.overrides)
-                .map(|(a, ov)| match ov {
-                    Some(leaf) => combine(leaf, &[]),
-                    None => chash[a.index()],
-                })
-                .collect();
-            chash[i] = combine(&tag, &child);
-            continue;
-        }
-        let tag = op_tag(store, t.op(), |sym| var_index[&sym]);
-        let mut child: Vec<u128> = t.args().iter().map(|a| chash[a.index()]).collect();
-        if is_commutative(t.op()) {
-            child.sort_unstable();
-        }
-        chash[i] = combine(&tag, &child);
-    }
+    // Pass 3: hashes of the renamed DAG, into the shape buffer.
+    table.hash_up(&mut shape, |i| u128::from(num[i]));
+    let chash = shape;
 
-    // Pass 4: serialise the canonical DAG as a node table (post-order,
-    // one entry per shared node), linear in the DAG size. Rows dedup by
-    // *content*, not just `TermId`, so a folded `(- 20)` and a literal
-    // `-20` interned side by side still share one table entry.
-    let mut final_roots: Vec<TermId> = script.assertions().to_vec();
-    final_roots.sort_by_key(|id| chash[id.index()]);
-    final_roots.dedup_by_key(|id| chash[id.index()]);
-    let mut table = String::new();
-    let mut node_of: HashMap<TermId, usize> = HashMap::new();
-    let mut row_of: HashMap<String, usize> = HashMap::new();
-    // `Term(id, expanded)` pairs: the first pop schedules the children,
-    // the second (expanded) pop emits the node. `Leaf` interns a synthetic
-    // tightened-literal row at the DFS position the original literal child
-    // would have occupied, so node numbering matches a genuinely
-    // non-strict spelling of the same constraint.
-    enum WalkItem {
-        Term(TermId, bool),
-        Leaf(String),
-    }
-    let mut walk: Vec<WalkItem> = Vec::new();
-    for &root in &final_roots {
-        walk.push(WalkItem::Term(root, false));
-        while let Some(item) = walk.pop() {
-            let (id, expanded) = match item {
-                WalkItem::Term(id, expanded) => (id, expanded),
-                WalkItem::Leaf(row) => {
-                    intern_row(row, &mut row_of, &mut table);
-                    continue;
-                }
-            };
-            if node_of.contains_key(&id) {
+    // Pass 4: serialize, one row per node in post-order.
+    roots.sort_unstable_by_key(|&r| (chash[r as usize], r));
+    let mut row = vec![NONE; n];
+    let mut rows = 0u32;
+    let mut key = String::with_capacity(table.text.len() + 8 * n);
+    let mut walk: Vec<(u32, bool)> = Vec::new();
+    for &root in &roots {
+        walk.push((root, false));
+        while let Some((i, expanded)) = walk.pop() {
+            let iu = i as usize;
+            if row[iu] != NONE {
                 continue;
             }
-            let row = if let Some(tag) = &folded[id.index()] {
-                format!("{tag}()")
-            } else if let Some(nm) = &cmp_norm[id.index()] {
-                if !expanded {
-                    walk.push(WalkItem::Term(id, true));
-                    for (&a, ov) in nm.args.iter().zip(&nm.overrides).rev() {
-                        match ov {
-                            Some(leaf) => walk.push(WalkItem::Leaf(format!("{leaf}()"))),
-                            None => walk.push(WalkItem::Term(a, false)),
-                        }
-                    }
-                    continue;
+            let node = &table.nodes[iu];
+            let kids = &mut table.kids[node.kids.0..node.kids.1];
+            if !expanded {
+                if node.comm {
+                    kids.sort_unstable_by_key(|&k| (chash[k as usize], k));
                 }
-                let mut row = op_tag(store, &nm.op, |sym| var_index[&sym]);
-                row.push('(');
-                for (i, (a, ov)) in nm.args.iter().zip(&nm.overrides).enumerate() {
-                    if i > 0 {
-                        row.push(',');
-                    }
-                    // A tightened literal exists only as a leaf tag; give
-                    // it a (deduplicated) row of its own.
-                    let entry = match ov {
-                        Some(leaf) => intern_row(format!("{leaf}()"), &mut row_of, &mut table),
-                        None => node_of[a],
-                    };
-                    row.push_str(&entry.to_string());
+                walk.push((i, true));
+                walk.extend(kids.iter().rev().map(|&k| (k, false)));
+                continue;
+            }
+            if node.var.is_some() {
+                key.push('v');
+                push_num(&mut key, num[iu]);
+            }
+            key.push_str(&table.text[node.tag.0..node.tag.1]);
+            key.push('(');
+            for (j, &k) in kids.iter().enumerate() {
+                if j > 0 {
+                    key.push(',');
                 }
-                row.push(')');
-                row
-            } else {
-                let t = store.term(id);
-                let mut order: Vec<TermId> = t.args().to_vec();
-                if is_commutative(t.op()) {
-                    let mut keyed: Vec<(u128, usize, TermId)> = order
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &a)| (chash[a.index()], i, a))
-                        .collect();
-                    keyed.sort();
-                    order = keyed.into_iter().map(|(_, _, a)| a).collect();
-                }
-                if !expanded {
-                    walk.push(WalkItem::Term(id, true));
-                    for &a in order.iter().rev() {
-                        walk.push(WalkItem::Term(a, false));
-                    }
-                    continue;
-                }
-                let mut row = op_tag(store, t.op(), |sym| var_index[&sym]);
-                row.push('(');
-                for (i, a) in order.iter().enumerate() {
-                    if i > 0 {
-                        row.push(',');
-                    }
-                    row.push_str(&node_of[a].to_string());
-                }
-                row.push(')');
-                row
-            };
-            let node = intern_row(row, &mut row_of, &mut table);
-            node_of.insert(id, node);
+                push_num(&mut key, row[k as usize]);
+            }
+            key.push_str(");");
+            row[iu] = rows;
+            rows += 1;
         }
     }
-    table.push('|');
-    for (i, root) in final_roots.iter().enumerate() {
-        if i > 0 {
-            table.push(',');
+    key.push('|');
+    for (j, &r) in roots.iter().enumerate() {
+        if j > 0 {
+            key.push(',');
         }
-        table.push_str(&node_of[root].to_string());
+        push_num(&mut key, row[r as usize]);
     }
 
-    let mut h = Fnv::new();
-    h.write(table.as_bytes());
-    Canonical {
-        fingerprint: h.finish(),
-        key: table,
+    let canonical = Canonical {
+        fingerprint: fnv1a(key.as_bytes()),
+        key,
         vars,
-    }
+    };
+    (canonical, rounds)
 }
 
 #[cfg(test)]
@@ -798,6 +734,78 @@ mod tests {
         let c = canon("(declare-fun r () Real)(assert (<= r 0.0))");
         assert_ne!(a.key, b.key);
         assert_ne!(a.key, c.key);
+    }
+
+    #[test]
+    fn repeated_assertions_share_one_root() {
+        let decls = "(declare-fun x () Int)(declare-fun y () Int)";
+        let once = canon(&format!("{decls}(assert (= (+ x (* 2 y)) 7))"));
+        // The same assertion again, arguments reversed, then the whole
+        // script renamed: still one root, and the same key.
+        let twice = canon(&format!(
+            "{decls}(assert (= (+ x (* 2 y)) 7))(assert (= 7 (+ (* 2 y) x)))"
+        ));
+        let renamed = canon(
+            "(declare-fun p () Int)(declare-fun q () Int)\
+             (assert (= 7 (+ (* 2 q) p)))(assert (= (+ p (* 2 q)) 7))",
+        );
+        assert_eq!(once.key, twice.key);
+        assert_eq!(once.key, renamed.key);
+        assert_eq!(once.fingerprint, renamed.fingerprint);
+        let roots = |c: &Canonical| c.key.rsplit('|').next().unwrap().split(',').count();
+        assert_eq!(roots(&twice), 1);
+        // Distinct assertions keep distinct root entries.
+        let distinct = canon(&format!(
+            "{decls}(assert (= (+ x (* 2 y)) 7))(assert (= (+ y (* 2 x)) 7))"
+        ));
+        assert_eq!(roots(&distinct), 2);
+        assert_ne!(once.key, distinct.key);
+    }
+
+    #[test]
+    fn literal_spellings_share_one_row() {
+        // `(< x 5)` tightens to a literal 4 that also occurs directly.
+        let c =
+            canon("(declare-fun x () Int)(declare-fun y () Int)(assert (< x 5))(assert (= y 4))");
+        assert_eq!(c.key.matches("i4()").count(), 1);
+        // A folded `(- 20)` and a builder's literal -20 side by side.
+        let mut script = Script::new();
+        let x = script.declare("x", Sort::Int).unwrap();
+        let store = script.store_mut();
+        let xv = store.var(x);
+        let direct = store.int_i64(-20);
+        let twenty = store.int_i64(20);
+        let folded = store.app(Op::Neg, &[twenty]).unwrap();
+        let a = store.le(xv, direct).unwrap();
+        let b = store.le(folded, xv).unwrap();
+        script.assert(a);
+        script.assert(b);
+        let c = canonicalize(&script);
+        assert_eq!(c.key.matches("i-20()").count(), 1, "{}", c.key);
+        assert!(!c.key.contains("i20()"), "{}", c.key);
+    }
+
+    #[test]
+    fn refinement_stops_at_the_round_cap() {
+        // A `<` chain of 2,000 variables: each round separates one more
+        // link from either end, so without the cap refinement would run
+        // about a thousand rounds.
+        let n = 2000;
+        let mut src = String::new();
+        for i in 0..n {
+            src.push_str(&format!("(declare-fun x{i} () Int)"));
+        }
+        for i in 1..n {
+            src.push_str(&format!("(assert (< x{} x{i}))", i - 1));
+        }
+        let (c, rounds) = canonical_form(&Script::parse(&src).unwrap());
+        assert_eq!(rounds, MAX_ROUNDS);
+        assert_eq!(c.vars().len(), n);
+        // A small constraint reaches its fixpoint well before the cap.
+        let small = "(declare-fun x () Int)(declare-fun y () Int)\
+                     (assert (= (+ x y) 0))(assert (< x 0))";
+        let (_, rounds) = canonical_form(&Script::parse(small).unwrap());
+        assert!(rounds < MAX_ROUNDS, "{rounds} rounds");
     }
 
     #[test]

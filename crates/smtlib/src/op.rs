@@ -1,5 +1,6 @@
 //! Function symbols (operators) and their sort-checking rules.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -440,15 +441,15 @@ impl Op {
 
     /// The SMT-LIB concrete syntax for this operator head (leaves print
     /// their value; indexed operators print the full `(_ ...)` form).
-    pub fn smtlib_name(&self) -> String {
+    pub fn smtlib_name(&self) -> Cow<'static, str> {
         use Op::*;
         match self {
-            Var(_) => "<var>".to_string(),
+            Var(_) => "<var>".into(),
             True => "true".into(),
             False => "false".into(),
-            IntConst(v) => v.to_string(),
-            RealConst(v) => v.to_string(),
-            BvConst(v) => v.to_string(),
+            IntConst(v) => v.to_string().into(),
+            RealConst(v) => v.to_string().into(),
+            BvConst(v) => v.to_string().into(),
             FpConst(_) => "<fp-literal>".into(),
             RmConst(m) => match m {
                 RoundingMode::NearestEven => "RNE".into(),
@@ -502,9 +503,9 @@ impl Op {
             BvSmulo => "bvsmulo".into(),
             BvSdivo => "bvsdivo".into(),
             BvNego => "bvnego".into(),
-            BvSignExtend(n) => format!("(_ sign_extend {n})"),
-            BvZeroExtend(n) => format!("(_ zero_extend {n})"),
-            BvExtract(hi, lo) => format!("(_ extract {hi} {lo})"),
+            BvSignExtend(n) => format!("(_ sign_extend {n})").into(),
+            BvZeroExtend(n) => format!("(_ zero_extend {n})").into(),
+            BvExtract(hi, lo) => format!("(_ extract {hi} {lo})").into(),
             FpAdd => "fp.add".into(),
             FpSub => "fp.sub".into(),
             FpMul => "fp.mul".into(),

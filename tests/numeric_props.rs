@@ -8,6 +8,88 @@ fn big(v: i128) -> BigInt {
     BigInt::from(v)
 }
 
+/// Decimal parsing one digit at a time, one multiply and add per digit:
+/// the oracle for the chunked `FromStr`.
+fn parse_per_digit(s: &str) -> Option<BigInt> {
+    let (negative, digits) = match s.strip_prefix('-') {
+        Some(rest) => (true, rest),
+        None => (false, s.strip_prefix('+').unwrap_or(s)),
+    };
+    if digits.is_empty() {
+        return None;
+    }
+    let mut acc = BigInt::zero();
+    for ch in digits.chars() {
+        acc = &(&acc * &big(10)) + &big(i128::from(ch.to_digit(10)?));
+    }
+    Some(if negative { -acc } else { acc })
+}
+
+/// Decimal printing one digit at a time, one division per digit: the
+/// oracle for the chunked `Display`.
+fn display_per_digit(v: &BigInt) -> String {
+    let mut mag = v.abs();
+    let mut digits = Vec::new();
+    while !mag.is_zero() {
+        let (q, r) = mag.div_rem_trunc(&big(10));
+        digits.push(char::from(b'0' + r.to_u64().unwrap() as u8));
+        mag = q;
+    }
+    if digits.is_empty() {
+        digits.push('0');
+    }
+    if v.is_negative() {
+        digits.push('-');
+    }
+    digits.iter().rev().collect()
+}
+
+/// Checks parsing and printing of `s` against the per-digit oracle, and
+/// against `i128` where the value fits.
+fn check_decimal(s: &str) -> Result<(), TestCaseError> {
+    let parsed = s.parse::<BigInt>();
+    match parse_per_digit(s) {
+        None => {
+            let err = parsed.expect_err("the oracle rejects it");
+            prop_assert_eq!(err.to_string(), format!("invalid integer literal `{s}`"));
+        }
+        Some(expected) => {
+            let v = parsed.expect("the oracle accepts it");
+            prop_assert_eq!(&v, &expected);
+            prop_assert_eq!(v.to_string(), display_per_digit(&v));
+            prop_assert_eq!(v.to_string().parse::<BigInt>().unwrap(), v.clone());
+            if let Ok(n) = s.parse::<i128>() {
+                prop_assert_eq!(v.to_string(), n.to_string());
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Every length across the 19- and 38-digit chunk boundaries (and past
+/// the 57-digit one), with each sign spelling and leading zeros.
+#[test]
+fn bigint_decimal_chunk_boundaries() {
+    for len in 1..=80 {
+        for digits in [
+            "9".repeat(len),
+            format!("1{}", "0".repeat(len - 1)),
+            (0..len)
+                .map(|i| char::from(b'0' + (i * 7 % 10) as u8))
+                .collect(),
+        ] {
+            for prefix in ["", "-", "+", "00", "-0", "+000"] {
+                check_decimal(&format!("{prefix}{digits}")).unwrap();
+            }
+        }
+    }
+    for bad in [
+        "", "-", "+", "+-1", "-+1", "--1", " 1", "1 ", "1_000", "0x1f", "١٢",
+    ] {
+        check_decimal(bad).unwrap();
+    }
+}
+
 proptest! {
     #[test]
     fn bigint_add_matches_i128(a in -(1i128 << 100)..(1i128 << 100), b in -(1i128 << 100)..(1i128 << 100)) {
@@ -42,6 +124,28 @@ proptest! {
         let v = big(a);
         let s = v.to_string();
         prop_assert_eq!(s.parse::<BigInt>().unwrap(), v);
+    }
+
+    #[test]
+    fn bigint_decimal_matches_per_digit(
+        sign in "[+\\-]?",
+        zeros in "0{0,3}",
+        digits in "[0-9]{1,80}",
+    ) {
+        check_decimal(&format!("{sign}{zeros}{digits}"))?;
+    }
+
+    #[test]
+    fn bigint_decimal_rejects_what_per_digit_rejects(s in "[+\\-0-9a ]{0,6}") {
+        check_decimal(&s)?;
+    }
+
+    #[test]
+    fn bigint_display_matches_i128_and_per_digit(a in any::<i128>(), b in any::<i128>(), c in any::<i64>()) {
+        prop_assert_eq!(big(a).to_string(), a.to_string());
+        // Products of up to four limbs exercise the multi-chunk path.
+        let v = &(&big(a) * &big(b)) * &big(i128::from(c));
+        prop_assert_eq!(v.to_string(), display_per_digit(&v));
     }
 
     #[test]
