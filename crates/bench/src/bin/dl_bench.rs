@@ -10,7 +10,7 @@
 //! whether the complete difference-logic lane is planned (first) or the
 //! portfolio falls back to its bounded lanes and the unbounded baseline.
 //!
-//! Output: `BENCH_dl.json` (path overridable as argv[1]) with
+//! Output: `BENCH_dl.json` (path overridable as `argv[1]`) with
 //! per-constraint verdicts, steps, and the STN leg's winning lane, plus
 //! the gate bits CI greps for:
 //!

@@ -15,10 +15,10 @@
 //!
 //! Both legs run one worker with early-stop. A third, *sequential*
 //! reference leg runs each constraint through a fresh
-//! [`Session`](staub_core::Session) (bounded path, then the original
+//! [`Session`] (bounded path, then the original
 //! constraint) as an independent soundness anchor.
 //!
-//! Output: `BENCH_refine.json` (path overridable as argv[1]) with
+//! Output: `BENCH_refine.json` (path overridable as `argv[1]`) with
 //! per-constraint verdicts, steps, rung counts, and final variable-bit
 //! footprints, plus the gate bits CI greps for:
 //!

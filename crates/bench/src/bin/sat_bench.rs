@@ -14,7 +14,7 @@
 //!   long implication chains, restart-heavy).
 //!
 //! Both cores solve the identical instance list under an unlimited budget.
-//! Output: `BENCH_sat.json` (path overridable as argv[1]) with
+//! Output: `BENCH_sat.json` (path overridable as `argv[1]`) with
 //! per-instance verdicts, conflicts, propagations, and wall time, the new
 //! core's arena footprint and inprocessing counters, plus the gate bits
 //! CI greps for:

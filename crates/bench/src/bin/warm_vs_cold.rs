@@ -14,7 +14,7 @@
 //!   activities;
 //! * **cold** — `warm: false`: every rung gets a fresh solver.
 //!
-//! Output: `warm_vs_cold.json` (path overridable as argv[1]) with
+//! Output: `warm_vs_cold.json` (path overridable as `argv[1]`) with
 //! per-constraint steps and wall-clock for both legs plus the two gate
 //! bits CI greps for: `verdicts_identical` (warm and cold agree on every
 //! constraint) and `reduction_ok` (warm saves ≥ 20% in steps or wall).

@@ -17,7 +17,7 @@
 //! activity wipe the live solver fixed.)
 //! first-UIP clause learning, and geometric restarts.
 //!
-//! This is the propositional core under both the bit-blaster ([`crate::bv`])
+//! This is the propositional core under both the bit-blaster (`bv`)
 //! and the lazy-SMT skeleton enumeration in `arith::lazy`. It is
 //! incremental three ways:
 //!

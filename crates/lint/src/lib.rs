@@ -8,9 +8,9 @@
 //!
 //! | Pass | Codes | Invariant |
 //! |------|-------|-----------|
-//! | [`resort`] | `L001`–`L003` | every cached sort re-derives from the operator typing rules; interning is bottom-up |
+//! | [`fn@resort`] | `L001`–`L003` | every cached sort re-derives from the operator typing rules; interning is bottom-up |
 //! | [`boundedness`] | `L101`–`L103` | no unbounded sort survives ℳ; every bitvector arithmetic application is overflow-guarded; constants fit their width |
-//! | [`correspondence`] | `L201`–`L204` | φ⁻¹ covers the original symbols; sort pairs correspond; widths are monotone over the inference |
+//! | [`fn@correspondence`] | `L201`–`L204` | φ⁻¹ covers the original symbols; sort pairs correspond; widths are monotone over the inference |
 //! | [`model_shape`] | `L301`–`L302` | a candidate model assigns every free symbol a value of its declared sort |
 //! | [`bound_certificate`] | `L401`–`L405` | an a-priori bound certificate re-derives from the original script: fragment class, coefficient ledger, certified width, and per-variable coverage all cross-check |
 //! | [`dl_certificate`] | `L501`–`L504` | a difference-logic unsat's negative cycle re-derives from the original script: fragment membership, per-edge entailment, cyclic chaining, and a negative bound sum all cross-check |

@@ -2,15 +2,14 @@
 //! replay load generator (`staub loadgen`).
 //!
 //! Both speak the same newline-delimited JSON protocol as the server and
-//! reuse the [`LineReader`](crate::protocol::LineReader) so a response
-//! larger than the line cap is reported rather than looping forever.
-//! The load generator additionally *audits* responses: every reply must
-//! be well-formed JSON with a known status, and `sat` replies carrying a
-//! parseable model are re-checked by exact evaluation against the
-//! original constraint — the client-side half of the soundness story.
+//! reuse the [`LineReader`] so a response larger than the line cap is
+//! reported rather than looping forever. The load generator additionally
+//! *audits* responses: every reply must be well-formed JSON with a known
+//! status, and `sat` replies carrying a parseable model are re-checked by
+//! exact evaluation against the original constraint — the client-side
+//! half of the soundness story.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -21,7 +20,7 @@ use staub_smtlib::{evaluate, Model, Script, Sort, Value};
 
 use crate::endpoint::{Endpoint, EndpointStream};
 use crate::json::{self, Json};
-use crate::protocol::{LineRead, LineReader};
+use crate::protocol::LineReader;
 
 /// A connected protocol client over any byte stream.
 pub struct Connection<S> {
@@ -38,37 +37,6 @@ impl Connection<EndpointStream> {
     /// Propagates connect failures.
     pub fn connect(endpoint: &Endpoint) -> io::Result<Connection<EndpointStream>> {
         Ok(Connection::over(endpoint.connect()?))
-    }
-}
-
-impl Connection<TcpStream> {
-    /// Connects over TCP (blocking reads; responses are caller-paced).
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect failures.
-    #[deprecated(note = "use `Connection::connect` with an `Endpoint`")]
-    pub fn connect_tcp(addr: &str) -> io::Result<Connection<TcpStream>> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Connection::over(stream))
-    }
-}
-
-#[cfg(unix)]
-impl Connection<std::os::unix::net::UnixStream> {
-    /// Connects over a Unix domain socket.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect failures.
-    #[deprecated(note = "use `Connection::connect` with an `Endpoint`")]
-    pub fn connect_unix(
-        path: &std::path::Path,
-    ) -> io::Result<Connection<std::os::unix::net::UnixStream>> {
-        Ok(Connection::over(std::os::unix::net::UnixStream::connect(
-            path,
-        )?))
     }
 }
 
@@ -91,30 +59,7 @@ impl<S: Read + Write> Connection<S> {
         self.stream.write_all(request.as_bytes())?;
         self.stream.write_all(b"\n")?;
         self.stream.flush()?;
-        loop {
-            match self.reader.next_line(&mut self.stream)? {
-                LineRead::Line(line) => return Ok(line),
-                LineRead::Idle => continue,
-                LineRead::Eof => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the connection before replying",
-                    ))
-                }
-                LineRead::TooLong { .. } => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "response exceeds the line cap",
-                    ))
-                }
-                LineRead::BadUtf8 => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "response is not UTF-8",
-                    ))
-                }
-            }
-        }
+        self.reader.next_reply(&mut self.stream)
     }
 }
 
@@ -423,7 +368,7 @@ impl LoadgenOutcome {
         }
     }
 
-    /// Latency percentile (p in [0,100]) over completed requests,
+    /// Latency percentile (`p` from 0 to 100) over completed requests,
     /// nearest-rank convention.
     pub fn latency_percentile(&self, p: f64) -> Duration {
         if self.records.is_empty() {

@@ -227,8 +227,8 @@ impl EndpointStream {
         }
     }
 
-    /// Sets the per-read timeout (the idle-poll granularity of the
-    /// legacy thread-per-connection mode).
+    /// Sets the per-read timeout (the blocking connection driver's
+    /// drain-poll tick; the router's bound on a backend reply).
     ///
     /// # Errors
     ///

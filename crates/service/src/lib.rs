@@ -22,10 +22,12 @@
 //!   CRC-framed append-only log, truncated-tail-tolerant warm start).
 //! * [`endpoint`] — the transport-agnostic `tcp:`/`unix:` address type
 //!   shared by server, router, and clients.
-//! * [`server`] — accept loops, admission control, the solve path, and
-//!   graceful drain.
-//! * [`reactor`] — the nonblocking epoll reactor (Linux) that serves many
-//!   idle connections from a fixed worker pool.
+//! * [`server`] — admission control, the one answer path of `solve` and
+//!   session `check`, and graceful drain.
+//! * [`reactor`] — the connection driver of server and router: the
+//!   nonblocking epoll reactor on Linux, which serves many idle
+//!   connections from a fixed worker pool, and a blocking
+//!   thread-per-connection driver elsewhere.
 //! * [`route`] — the `staub route` front node: consistent-hash sharding
 //!   of canonical fingerprints across backend servers.
 //! * [`client`] — `staub client` / `staub loadgen` drivers with
@@ -56,6 +58,4 @@ pub use protocol::{
     parse_request, LineRead, LineReader, ProtocolError, Request, SolveRequest, PROTOCOL_VERSION,
 };
 pub use route::{RouteConfig, Router};
-#[allow(deprecated)]
-pub use server::ServeConfig;
 pub use server::{DrainSummary, Server, ServerConfig};

@@ -381,6 +381,40 @@ pub fn error_reply(v: u32, id: Option<&str>, code: &str, message: &str) -> Strin
     out
 }
 
+/// The reply to a line [`parse_request`] rejected, and whether the
+/// connection stays open. A malformed line means the sender's framing can
+/// no longer be trusted, so the connection closes after the reply; the one
+/// exception is a *well-formed* line at a future version, whose framing is
+/// fine, so the connection survives the refusal.
+pub(crate) fn malformed_reply(err: &ProtocolError) -> (String, bool) {
+    let keep_open = err.code == codes::UNSUPPORTED_VERSION;
+    (error_reply(1, None, err.code, &err.message), keep_open)
+}
+
+/// The `routing-loop` refusal for a `solve` whose hop list already names
+/// `node`: the request has been here before, and forwarding or solving it
+/// again would cycle. `None` when `node` is not on the list.
+pub(crate) fn routing_loop_reply(v: u32, req: &SolveRequest, node: &str) -> Option<String> {
+    req.route.iter().any(|hop| hop == node).then(|| {
+        error_reply(
+            v,
+            req.id.as_deref(),
+            codes::ROUTING_LOOP,
+            &format!("route already contains this node (`{node}`)"),
+        )
+    })
+}
+
+/// Renders the reply to `shutdown`: the node has begun draining (the
+/// connection closes after it).
+pub(crate) fn shutdown_reply(v: u32, id: Option<&str>) -> String {
+    let mut out = String::with_capacity(64);
+    out.push('{');
+    push_head(&mut out, v, id);
+    out.push_str("\"status\":\"ok\",\"draining\":true}");
+    out
+}
+
 /// Renders the admission-control `overloaded` response line, carrying
 /// the gate's current occupancy so a load generator can tell shed
 /// (inflight at the cap) from stall (waiting deep).
@@ -614,6 +648,32 @@ impl LineReader {
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Reads one reply line from a blocking stream, the client side of the
+    /// framing: waits through read timeouts, and turns EOF, an over-cap
+    /// line and non-UTF-8 bytes into errors.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, a connection closed before the line ended, a line
+    /// longer than the cap, or a line that is not UTF-8.
+    pub(crate) fn next_reply(&mut self, src: &mut impl Read) -> io::Result<String> {
+        let invalid = |message: &str| io::Error::new(io::ErrorKind::InvalidData, message);
+        loop {
+            match self.next_line(src)? {
+                LineRead::Line(line) => return Ok(line),
+                LineRead::Idle => {}
+                LineRead::Eof => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "server closed the connection before replying",
+                    ))
+                }
+                LineRead::TooLong { .. } => return Err(invalid("response exceeds the line cap")),
+                LineRead::BadUtf8 => return Err(invalid("response is not UTF-8")),
             }
         }
     }

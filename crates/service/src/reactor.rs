@@ -1,9 +1,10 @@
-//! A nonblocking readiness reactor over `epoll(7)` (Linux).
+//! The connection driver shared by `staub serve` and `staub route`.
 //!
-//! The thread-per-connection server costs one OS thread per *idle*
-//! keep-alive connection — fatal at the ROADMAP's "millions of users"
-//! scale. This module serves any number of connections from **one**
-//! reactor thread plus a fixed pool of worker threads:
+//! [`run`] serves every listener it is handed until drain completes. On
+//! Linux it is a nonblocking readiness reactor over `epoll(7)`: **one**
+//! reactor thread plus a fixed pool of worker threads serve any number of
+//! connections, so an idle keep-alive connection costs a slab entry, not
+//! a thread:
 //!
 //! ```text
 //! reactor thread            worker pool (fixed size)
@@ -14,74 +15,82 @@
 //!             └─ completions
 //! ```
 //!
-//! Per-connection state is a small slab entry (a [`LineReader`], a write
-//! buffer, and the caller's session state) — an idle connection costs no
-//! thread and no syscalls. Reads drain until `WouldBlock` through the
-//! same [`LineReader`] framing as the threaded path; one request per
-//! connection is in flight at a time (the protocol is
-//! request/response-ordered), with the connection's session state moved
-//! into the worker job and back, so no locks guard it.
+//! Elsewhere it is a blocking thread-per-connection driver. The build
+//! target picks the driver; no setting does.
 //!
-//! Readiness is managed mio-style with explicit *interest sets* re-armed
-//! on every state transition: a connection whose request is at a worker
-//! drops read interest (no spin while the kernel buffer holds pipelined
-//! bytes), and write interest exists only while the write buffer is
-//! nonempty. This one-shot-style re-arming gives the edge-driven
-//! behaviour without edge-triggered mode's lost-wakeup hazard.
+//! Both drivers frame input with the same [`LineReader`] and make every
+//! per-line decision in one function: skip a blank line, hand a request
+//! to [`Service::handle`], answer a line over the size cap or not UTF-8
+//! and then close, close on EOF. Every close after a final reply is a
+//! *lingering* close, bounded by one deadline. One request per
+//! connection is in flight at a time (the protocol is
+//! request/response-ordered), so a connection's session state needs no
+//! lock: the reactor moves it into the worker job and back, and the
+//! blocking driver keeps it on the connection's thread.
+//!
+//! The reactor manages readiness mio-style with explicit *interest sets*
+//! re-armed on every state transition: a connection whose request is at a
+//! worker drops read interest (no spin while the kernel buffer holds
+//! pipelined bytes), and write interest exists only while the write
+//! buffer is nonempty. This one-shot-style re-arming gives the
+//! edge-driven behaviour without edge-triggered mode's lost-wakeup
+//! hazard.
 //!
 //! Drain integrates with [`crate::signal`] through
-//! [`Service::shutting_down`]: `epoll_wait` ticks at a bounded interval,
-//! and once the flag is up the reactor stops accepting, lets in-flight
-//! requests complete and flush, closes everything, joins its workers,
-//! and returns.
+//! [`Service::shutting_down`], which both drivers poll at least once per
+//! 50 ms tick: once the flag is up they stop accepting, let in-flight
+//! requests complete and flush, close everything, join their threads,
+//! and return.
 //!
 //! The `epoll` FFI below is the service crate's second audited `unsafe`
 //! exception (the first is the `signal(2)` registration in
-//! [`crate::signal`]); everything above [`sys`] is safe code. On
-//! non-Linux platforms [`supported`] is `false` and the server falls
-//! back to the threaded accept loop.
+//! [`crate::signal`]); everything above the private `sys` module is safe
+//! code.
 
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::endpoint::{EndpointListener, EndpointStream};
 use crate::protocol::{LineRead, LineReader};
 
-/// Reactor tuning.
+/// The longest either driver waits before polling the drain flag again:
+/// the `epoll_wait` timeout, and the blocking driver's read timeout and
+/// accept poll.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// How long a closing connection waits for the peer to read its final
+/// reply and hang up before it is dropped anyway. Closing outright while
+/// unread request bytes sit in the receive buffer (an oversized line's
+/// tail, a pipelined request) makes the kernel send RST, which destroys
+/// the reply before the peer reads it; so a final reply is followed by a
+/// half-close and input is discarded until EOF or this deadline.
+const LINGER: Duration = Duration::from_secs(2);
+
+/// Driver tuning.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Worker threads executing [`Service::handle`]. The thread count is
-    /// fixed at start — connection count never changes it.
+    /// Worker threads executing [`Service::handle`] on the epoll reactor.
+    /// The thread count is fixed at start — connection count never
+    /// changes it. (The blocking driver runs each request on its
+    /// connection's thread.)
     pub workers: usize,
     /// Request-line size cap handed to each connection's [`LineReader`].
     pub max_line_bytes: usize,
-    /// Upper bound on one `epoll_wait`, which is also the drain-flag poll
-    /// cadence.
-    pub poll_interval: Duration,
 }
 
-impl Default for ReactorConfig {
-    fn default() -> ReactorConfig {
-        ReactorConfig {
-            workers: 4,
-            max_line_bytes: crate::protocol::DEFAULT_MAX_LINE_BYTES,
-            poll_interval: Duration::from_millis(50),
-        }
-    }
-}
-
-/// What the reactor needs from the protocol layer. The server implements
-/// this once; tests implement it with trivial echo logic.
+/// What the driver needs from the protocol layer. The server and the
+/// router implement this once each; tests implement it with trivial echo
+/// logic.
 pub trait Service: Send + Sync + 'static {
     /// Per-connection session state, created on accept and dropped on
     /// close.
     type Conn: Default + Send + 'static;
 
     /// Handles one complete request line; returns the reply line (no
-    /// newline) and whether the connection stays open. Runs on a worker
-    /// thread.
+    /// newline) and whether the connection stays open. Runs on a reactor
+    /// worker, or on the connection's own thread in the blocking driver.
     fn handle(&self, conn: &mut Self::Conn, line: &str) -> (String, bool);
 
     /// The reply for a line that blew the size cap (the connection
@@ -103,52 +112,99 @@ pub trait Service: Send + Sync + 'static {
     fn disconnected(&self) {}
 }
 
-/// Whether this build has a reactor (Linux only).
-pub fn supported() -> bool {
-    cfg!(target_os = "linux")
-}
-
-/// Live reactor gauges, shared with the health endpoint.
+/// Live driver gauges, shared with the health endpoint.
 #[derive(Debug, Default)]
 pub struct ReactorGauges {
-    /// Connections currently registered.
+    /// Connections currently open.
     pub open_connections: AtomicU64,
-    /// Worker threads in the pool.
+    /// Worker threads in the reactor's pool (0 on the blocking driver).
     pub workers: AtomicU64,
-    /// Requests currently at a worker.
+    /// Requests currently being handled.
     pub busy: AtomicU64,
 }
 
-/// Runs the reactor until drain completes. Blocks the calling thread;
-/// the server spawns it on a dedicated `staub-reactor` thread.
+/// Serves `listeners` until drain completes: the epoll reactor on Linux,
+/// the blocking thread-per-connection driver elsewhere. Blocks the
+/// calling thread; the server and the router each spawn it on a thread of
+/// its own.
 ///
 /// # Errors
 ///
-/// Propagates `epoll` setup failures and fatal poll errors; per-
-/// connection I/O errors just close that connection.
-#[cfg(target_os = "linux")]
+/// Propagates `epoll` setup failures and fatal poll errors; per-connection
+/// I/O errors just close that connection.
 pub fn run<S: Service>(
     service: &Arc<S>,
     listeners: Vec<EndpointListener>,
     gauges: &Arc<ReactorGauges>,
     config: &ReactorConfig,
 ) -> io::Result<()> {
-    linux::run(service, listeners, gauges, config)
+    #[cfg(target_os = "linux")]
+    let driver = linux::run::<S>;
+    #[cfg(not(target_os = "linux"))]
+    let driver = blocking::run::<S>;
+    driver(service, listeners, gauges, config)
 }
 
-/// Non-Linux stub: the server checks [`supported`] first, so this is
-/// unreachable in practice, but it keeps the symbol total.
-#[cfg(not(target_os = "linux"))]
-pub fn run<S: Service>(
-    _service: &Arc<S>,
-    _listeners: Vec<EndpointListener>,
-    _gauges: &Arc<ReactorGauges>,
-    _config: &ReactorConfig,
-) -> io::Result<()> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "the epoll reactor requires Linux; use the threaded accept loop",
-    ))
+/// What a connection does after reading up to its next line.
+enum Step {
+    /// A request line for [`Service::handle`].
+    Request(String),
+    /// No complete line yet; wait for more input.
+    Idle,
+    /// Send this final reply, then close with a lingering close.
+    Final(String),
+    /// Close now: the peer hung up or the socket failed.
+    Close,
+}
+
+/// Reads up to the next request line and makes the per-line decisions
+/// both drivers share: blank lines are skipped, a line over the size cap
+/// or not UTF-8 gets the service's final reply, EOF closes.
+fn next_step<S: Service>(
+    service: &S,
+    reader: &mut LineReader,
+    stream: &mut EndpointStream,
+) -> Step {
+    loop {
+        match reader.next_line(stream) {
+            Ok(LineRead::Line(line)) if line.trim().is_empty() => {}
+            Ok(LineRead::Line(line)) => return Step::Request(line),
+            Ok(LineRead::Idle) => return Step::Idle,
+            Ok(LineRead::TooLong { observed }) => return Step::Final(service.oversized(observed)),
+            Ok(LineRead::BadUtf8) => return Step::Final(service.bad_utf8()),
+            Ok(LineRead::Eof) | Err(_) => return Step::Close,
+        }
+    }
+}
+
+/// Runs one request line. The connection stays open only while the
+/// service keeps it open and no drain has begun.
+fn handle<S: Service>(service: &S, conn: &mut S::Conn, line: &str) -> (String, bool) {
+    let (reply, keep_open) = service.handle(conn, line);
+    (reply, keep_open && !service.shutting_down())
+}
+
+/// Reads and discards input on a lingering connection: `Ok(true)` once
+/// the peer has hung up (it has read the final reply), `Ok(false)` when
+/// no more input is ready yet.
+fn discard_input(stream: &mut EndpointStream) -> io::Result<bool> {
+    let mut sink = [0u8; 4096];
+    loop {
+        match stream.read(&mut sink) {
+            Ok(0) => return Ok(true),
+            Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Ok(false)
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -280,6 +336,7 @@ mod linux {
     use super::*;
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
+    use std::sync::{mpsc, Mutex};
 
     /// Token namespace: connection tokens encode `(generation, slot)`;
     /// the top of the space names listeners and the waker.
@@ -320,17 +377,11 @@ mod linux {
         /// Reads stopped permanently (EOF / cap / bad UTF-8).
         read_done: bool,
         /// Lingering close: the final reply is flushed and the write side
-        /// shut down; input is discarded until the peer closes (or this
-        /// deadline passes). Closing outright with unread bytes in the
-        /// receive buffer would make the kernel send RST, destroying the
-        /// reply before the peer reads it.
+        /// shut down; input is discarded until the peer closes or this
+        /// deadline ([`LINGER`] after the flush) passes.
         linger_until: Option<Instant>,
         interest: u32,
     }
-
-    /// How long a closing connection waits for the peer to read its final
-    /// reply and hang up before being dropped anyway.
-    const LINGER: Duration = Duration::from_secs(2);
 
     impl<C> Conn<C> {
         fn busy(&self) -> bool {
@@ -463,7 +514,7 @@ mod linux {
                             line,
                             mut state,
                         } = job;
-                        let (reply, keep_open) = service.handle(&mut state, &line);
+                        let (reply, keep_open) = handle(&*service, &mut state, &line);
                         if done_tx
                             .send(Done {
                                 slot,
@@ -523,7 +574,7 @@ mod linux {
                 break;
             }
 
-            let n = reactor.ep.wait(&mut events, config.poll_interval)?;
+            let n = reactor.ep.wait(&mut events, POLL_INTERVAL)?;
             for ev in &events[..n] {
                 let token = ev.data;
                 let bits = ev.events;
@@ -638,89 +689,47 @@ mod linux {
             }
         }
 
-        /// Drains readable bytes; dispatches at most one request to the
-        /// worker pool (request/response ordering), queues protocol-level
-        /// close replies for framing violations.
+        /// Reads what is ready: discards it on a lingering connection;
+        /// otherwise dispatches at most one request to the worker pool
+        /// (request/response ordering) or queues a final reply.
         fn read_ready(&mut self, slot: usize, gen: u64) {
-            let mut close_now = false;
-            loop {
-                let Some(conn) = self.slab.get(slot, gen) else {
-                    return;
-                };
-                if conn.linger_until.is_some() {
-                    // Lingering: discard everything until the peer hangs
-                    // up (EOF means it has read our final reply).
-                    let mut sink = [0u8; 4096];
-                    loop {
-                        match conn.stream.read(&mut sink) {
-                            Ok(0) => {
-                                close_now = true;
-                                break;
-                            }
-                            Ok(_) => {}
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                            Err(_) => {
-                                close_now = true;
-                                break;
-                            }
-                        }
-                    }
-                    break;
-                }
-                if conn.busy() || conn.read_done || conn.closing {
-                    break;
-                }
-                let next = {
-                    let Conn { stream, reader, .. } = conn;
-                    reader.next_line(stream)
-                };
-                match next {
-                    Ok(LineRead::Line(line)) => {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
+            let Some(conn) = self.slab.get(slot, gen) else {
+                return;
+            };
+            let close_now = if conn.linger_until.is_some() {
+                !matches!(discard_input(&mut conn.stream), Ok(false))
+            } else if conn.busy() || conn.read_done || conn.closing {
+                false
+            } else {
+                match next_step(&**self.service, &mut conn.reader, &mut conn.stream) {
+                    Step::Request(line) => {
                         let state = conn.state.take().expect("not busy");
                         self.gauges.busy.fetch_add(1, Ordering::Relaxed);
-                        if self
-                            .jobs
-                            .send(Job {
-                                slot,
-                                gen,
-                                line,
-                                state,
-                            })
-                            .is_err()
-                        {
-                            // Workers are gone (drain): close.
+                        let job = Job {
+                            slot,
+                            gen,
+                            line,
+                            state,
+                        };
+                        // A send fails only once the workers are gone
+                        // (drain): close.
+                        let gone = self.jobs.send(job).is_err();
+                        if gone {
                             self.gauges.busy.fetch_sub(1, Ordering::Relaxed);
-                            close_now = true;
                         }
-                        break;
+                        gone
                     }
-                    Ok(LineRead::Idle) => break,
-                    Ok(LineRead::Eof) | Err(_) => {
-                        close_now = true;
-                        break;
-                    }
-                    Ok(LineRead::TooLong { observed }) => {
-                        let reply = self.service.oversized(observed);
+                    Step::Idle => false,
+                    Step::Final(reply) => {
                         conn.wbuf.extend_from_slice(reply.as_bytes());
                         conn.wbuf.push(b'\n');
                         conn.read_done = true;
                         conn.closing = true;
-                        break;
+                        false
                     }
-                    Ok(LineRead::BadUtf8) => {
-                        let reply = self.service.bad_utf8();
-                        conn.wbuf.extend_from_slice(reply.as_bytes());
-                        conn.wbuf.push(b'\n');
-                        conn.read_done = true;
-                        conn.closing = true;
-                        break;
-                    }
+                    Step::Close => true,
                 }
-            }
+            };
             if close_now {
                 self.close(slot);
             } else {
@@ -728,8 +737,9 @@ mod linux {
             }
         }
 
-        /// Writes out as much of the buffer as the socket accepts, closes
-        /// flushed `closing` connections, then re-arms interest.
+        /// Writes out as much of the buffer as the socket accepts, starts
+        /// the lingering close of flushed `closing` connections, then
+        /// re-arms interest.
         fn flush(&mut self, slot: usize, gen: u64) {
             let mut close_now = false;
             let mut lingers = false;
@@ -759,12 +769,6 @@ mod linux {
                     conn.wbuf.clear();
                     conn.wpos = 0;
                     if conn.closing && !conn.busy() && conn.linger_until.is_none() {
-                        // Final reply flushed: linger instead of closing.
-                        // The peer may not have read the reply yet, and
-                        // bytes it is still sending (e.g. the tail of an
-                        // oversized line) would otherwise turn our close
-                        // into an RST that destroys the reply. Half-close,
-                        // then discard input until EOF or the deadline.
                         conn.linger_until = Some(Instant::now() + LINGER);
                         let _ = conn.stream.shutdown_write();
                         lingers = true;
@@ -792,7 +796,7 @@ mod linux {
                 conn.state = Some(done.state);
                 conn.wbuf.extend_from_slice(done.reply.as_bytes());
                 conn.wbuf.push(b'\n');
-                if !done.keep_open || self.service.shutting_down() {
+                if !done.keep_open {
                     conn.closing = true;
                 }
                 self.flush(done.slot, done.gen);
@@ -812,6 +816,113 @@ mod linux {
                 self.gauges
                     .open_connections
                     .store(self.slab.len() as u64, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The blocking driver (non-Linux targets; compiled on Linux for its tests)
+// ---------------------------------------------------------------------------
+
+#[cfg(any(test, not(target_os = "linux")))]
+mod blocking {
+    use super::*;
+
+    /// Polls the listeners until drain, serving each accepted connection
+    /// on a thread of its own, then joins every connection thread.
+    pub fn run<S: Service>(
+        service: &Arc<S>,
+        listeners: Vec<EndpointListener>,
+        gauges: &Arc<ReactorGauges>,
+        config: &ReactorConfig,
+    ) -> io::Result<()> {
+        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        while !service.shutting_down() {
+            let mut accepted = false;
+            for listener in &listeners {
+                let Ok(stream) = listener.try_accept() else {
+                    continue;
+                };
+                accepted = true;
+                // Served blocking; the read timeout is the drain tick.
+                if stream.set_nonblocking(false).is_err()
+                    || stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
+                {
+                    continue; // peer already gone
+                }
+                let service = Arc::clone(service);
+                let gauges = Arc::clone(gauges);
+                let max_line_bytes = config.max_line_bytes;
+                let spawned =
+                    std::thread::Builder::new()
+                        .name("staub-conn".into())
+                        .spawn(move || {
+                            service.connected();
+                            gauges.open_connections.fetch_add(1, Ordering::Relaxed);
+                            serve(&*service, &gauges, stream, max_line_bytes);
+                            gauges.open_connections.fetch_sub(1, Ordering::Relaxed);
+                            service.disconnected();
+                        });
+                // Out of threads: this connection is dropped, the rest
+                // keep being served.
+                if let Ok(handle) = spawned {
+                    connections.push(handle);
+                }
+            }
+            // Reap finished connection threads so a long-lived server
+            // does not accumulate join handles.
+            connections.retain(|h| !h.is_finished());
+            if !accepted {
+                std::thread::sleep(POLL_INTERVAL);
+            }
+        }
+        for h in connections {
+            let _ = h.join();
+        }
+        Ok(())
+    }
+
+    /// One connection, start to close.
+    fn serve<S: Service>(
+        service: &S,
+        gauges: &ReactorGauges,
+        mut stream: EndpointStream,
+        max_line_bytes: usize,
+    ) {
+        let mut reader = LineReader::new(max_line_bytes);
+        let mut conn = S::Conn::default();
+        loop {
+            let (reply, keep_open) = match next_step(service, &mut reader, &mut stream) {
+                Step::Request(line) => {
+                    gauges.busy.fetch_add(1, Ordering::Relaxed);
+                    let answered = handle(service, &mut conn, &line);
+                    gauges.busy.fetch_sub(1, Ordering::Relaxed);
+                    answered
+                }
+                Step::Final(reply) => (reply, false),
+                Step::Idle if !service.shutting_down() => continue,
+                // Drain drops idle keep-alive connections.
+                Step::Idle | Step::Close => return,
+            };
+            let written = stream
+                .write_all(reply.as_bytes())
+                .and_then(|()| stream.write_all(b"\n"))
+                .and_then(|()| stream.flush());
+            if written.is_err() {
+                return;
+            }
+            if !keep_open {
+                // Lingering close; a drain cuts it short, as the reactor
+                // closes lingering connections when it drains.
+                if stream.shutdown_write().is_ok() {
+                    let deadline = Instant::now() + LINGER;
+                    while Instant::now() < deadline
+                        && !service.shutting_down()
+                        && matches!(discard_input(&mut stream), Ok(false))
+                    {}
+                }
+                return;
             }
         }
     }
@@ -853,7 +964,21 @@ mod tests {
         }
     }
 
+    type Driver = fn(
+        &Arc<Echo>,
+        Vec<EndpointListener>,
+        &Arc<ReactorGauges>,
+        &ReactorConfig,
+    ) -> io::Result<()>;
+
+    /// Every echo test runs against both drivers.
+    const DRIVERS: [(&str, Driver); 2] = [
+        ("epoll", super::linux::run::<Echo>),
+        ("blocking", super::blocking::run::<Echo>),
+    ];
+
     fn start_echo(
+        driver: Driver,
         max_line: usize,
     ) -> (
         Arc<Echo>,
@@ -870,12 +995,11 @@ mod tests {
         let config = ReactorConfig {
             workers: 2,
             max_line_bytes: max_line,
-            poll_interval: Duration::from_millis(10),
         };
         let handle = {
             let service = Arc::clone(&service);
             let gauges = Arc::clone(&gauges);
-            std::thread::spawn(move || run(&service, vec![listener], &gauges, &config))
+            std::thread::spawn(move || driver(&service, vec![listener], &gauges, &config))
         };
         (service, gauges, addr, handle)
     }
@@ -890,24 +1014,35 @@ mod tests {
         reply.trim_end().to_string()
     }
 
+    /// Reads whatever is left on `stream` until EOF.
+    fn rest(stream: &TcpStream) -> String {
+        let mut rest = String::new();
+        BufReader::new(stream.try_clone().unwrap())
+            .read_to_string(&mut rest)
+            .unwrap();
+        rest
+    }
+
     #[test]
     fn echoes_with_per_connection_state() {
-        let (service, _gauges, addr, handle) = start_echo(1024);
-        let mut a = TcpStream::connect(addr).unwrap();
-        let mut b = TcpStream::connect(addr).unwrap();
-        assert_eq!(roundtrip(&mut a, "hello"), "hello#1");
-        assert_eq!(roundtrip(&mut b, "world"), "world#1");
-        // Per-connection counters are independent: the reactor moved each
-        // connection's state to the worker and back.
-        assert_eq!(roundtrip(&mut a, "again"), "again#2");
-        assert_eq!(roundtrip(&mut a, "quit"), "bye");
-        service.stop.store(true, Ordering::Relaxed);
-        handle.join().unwrap().unwrap();
+        for (name, driver) in DRIVERS {
+            let (service, _gauges, addr, handle) = start_echo(driver, 1024);
+            let mut a = TcpStream::connect(addr).unwrap();
+            let mut b = TcpStream::connect(addr).unwrap();
+            assert_eq!(roundtrip(&mut a, "hello"), "hello#1", "{name}");
+            assert_eq!(roundtrip(&mut b, "world"), "world#1", "{name}");
+            // Per-connection counters are independent: each connection
+            // kept its own state across requests.
+            assert_eq!(roundtrip(&mut a, "again"), "again#2", "{name}");
+            assert_eq!(roundtrip(&mut a, "quit"), "bye", "{name}");
+            service.stop.store(true, Ordering::Relaxed);
+            handle.join().unwrap().unwrap();
+        }
     }
 
     #[test]
     fn many_idle_connections_cost_no_threads() {
-        let (service, gauges, addr, handle) = start_echo(1024);
+        let (service, gauges, addr, handle) = start_echo(super::linux::run::<Echo>, 1024);
         let mut conns: Vec<TcpStream> =
             (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
         // Wait for the reactor to register them all.
@@ -926,43 +1061,88 @@ mod tests {
 
     #[test]
     fn oversized_line_answers_then_closes() {
-        let (service, _gauges, addr, handle) = start_echo(16);
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let reply = roundtrip(&mut stream, &"x".repeat(64));
-        assert!(reply.starts_with("too-long:"), "{reply}");
-        // The connection is closed after the reply.
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut rest = String::new();
-        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "expected EOF");
-        service.stop.store(true, Ordering::Relaxed);
-        handle.join().unwrap().unwrap();
+        for (name, driver) in DRIVERS {
+            let (service, _gauges, addr, handle) = start_echo(driver, 16);
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let reply = roundtrip(&mut stream, &"x".repeat(64));
+            assert!(reply.starts_with("too-long:"), "{name}: {reply}");
+            // The connection is closed after the reply.
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut rest = String::new();
+            assert_eq!(
+                reader.read_line(&mut rest).unwrap(),
+                0,
+                "{name}: expected EOF"
+            );
+            service.stop.store(true, Ordering::Relaxed);
+            handle.join().unwrap().unwrap();
+        }
+    }
+
+    #[test]
+    fn non_utf8_line_answers_then_closes() {
+        use std::io::Write as _;
+        for (name, driver) in DRIVERS {
+            let (service, _gauges, addr, handle) = start_echo(driver, 1024);
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(b"caf\xe9\nnever-read\n").unwrap();
+            assert_eq!(rest(&stream), "bad-utf8\n", "{name}");
+            service.stop.store(true, Ordering::Relaxed);
+            handle.join().unwrap().unwrap();
+        }
+    }
+
+    #[test]
+    fn final_reply_reaches_a_peer_that_keeps_sending() {
+        use std::io::Write as _;
+        for (name, driver) in DRIVERS {
+            let (service, _gauges, addr, handle) = start_echo(driver, 1024);
+            let mut stream = TcpStream::connect(addr).unwrap();
+            // `quit`, then far more input than the socket buffers hold.
+            // The write completes only if the server keeps reading after
+            // its final reply; closing with the input unread would reset
+            // the connection instead.
+            let mut input = b"quit\n".to_vec();
+            input.resize(32 << 20, b'x');
+            if let Err(e) = stream.write_all(&input) {
+                panic!("{name}: {e}");
+            }
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            assert_eq!(rest(&stream), "bye\n", "{name}");
+            service.stop.store(true, Ordering::Relaxed);
+            handle.join().unwrap().unwrap();
+        }
     }
 
     #[test]
     fn pipelined_requests_all_answer_in_order() {
-        let (service, _gauges, addr, handle) = start_echo(1024);
-        let mut stream = TcpStream::connect(addr).unwrap();
-        use std::io::Write as _;
-        stream.write_all(b"one\ntwo\nthree\n").unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut got = Vec::new();
-        for _ in 0..3 {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            got.push(line.trim_end().to_string());
+        for (name, driver) in DRIVERS {
+            let (service, _gauges, addr, handle) = start_echo(driver, 1024);
+            let mut stream = TcpStream::connect(addr).unwrap();
+            use std::io::Write as _;
+            stream.write_all(b"one\ntwo\nthree\n").unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut got = Vec::new();
+            for _ in 0..3 {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                got.push(line.trim_end().to_string());
+            }
+            assert_eq!(got, vec!["one#1", "two#2", "three#3"], "{name}");
+            service.stop.store(true, Ordering::Relaxed);
+            handle.join().unwrap().unwrap();
         }
-        assert_eq!(got, vec!["one#1", "two#2", "three#3"]);
-        service.stop.store(true, Ordering::Relaxed);
-        handle.join().unwrap().unwrap();
     }
 
     #[test]
     fn drain_lets_inflight_flush_then_exits() {
-        let (service, gauges, addr, handle) = start_echo(1024);
-        let mut stream = TcpStream::connect(addr).unwrap();
-        assert_eq!(roundtrip(&mut stream, "pre"), "pre#1");
-        service.stop.store(true, Ordering::Relaxed);
-        handle.join().unwrap().unwrap();
-        assert_eq!(gauges.open_connections.load(Ordering::Relaxed), 0);
+        for (name, driver) in DRIVERS {
+            let (service, gauges, addr, handle) = start_echo(driver, 1024);
+            let mut stream = TcpStream::connect(addr).unwrap();
+            assert_eq!(roundtrip(&mut stream, "pre"), "pre#1", "{name}");
+            service.stop.store(true, Ordering::Relaxed);
+            handle.join().unwrap().unwrap();
+            assert_eq!(gauges.open_connections.load(Ordering::Relaxed), 0, "{name}");
+        }
     }
 }

@@ -37,7 +37,7 @@
 //! during an outage still co-locate). When every backend is down the
 //! client gets a structured `no-backend` error rather than a hang.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,9 +47,9 @@ use std::time::{Duration, Instant};
 use staub_smtlib::{canonicalize, Script};
 
 use crate::client::Connection;
-use crate::endpoint::{Endpoint, EndpointListener};
+use crate::endpoint::Endpoint;
 use crate::json;
-use crate::protocol::{self, codes, LineRead, LineReader, ProtocolError, Request, SolveRequest};
+use crate::protocol::{self, codes, Request, SolveRequest};
 use crate::reactor::{self, ReactorConfig, ReactorGauges};
 use crate::signal;
 
@@ -198,12 +198,11 @@ pub struct Router {
     inner: Arc<RouterInner>,
     addr: SocketAddr,
     gauges: Arc<ReactorGauges>,
-    handles: Vec<JoinHandle<()>>,
+    driver: JoinHandle<()>,
 }
 
 impl Router {
-    /// Binds the listener and starts serving (reactor where available,
-    /// thread-per-connection otherwise).
+    /// Binds the listener and starts the connection driver.
     ///
     /// # Errors
     ///
@@ -245,43 +244,25 @@ impl Router {
         });
         let gauges = Arc::new(ReactorGauges::default());
 
-        let mut handles = Vec::new();
-        if reactor::supported() {
-            let service = Arc::new(RouterService {
-                inner: Arc::clone(&inner),
-            });
-            let reactor_gauges = Arc::clone(&gauges);
-            let reactor_config = ReactorConfig {
-                workers: inner.config.workers.max(1),
-                max_line_bytes: inner.config.max_line_bytes,
-                poll_interval: Duration::from_millis(50),
-            };
-            handles.push(
-                std::thread::Builder::new()
-                    .name("staub-router".into())
-                    .spawn(move || {
-                        let _ = reactor::run(
-                            &service,
-                            vec![listener],
-                            &reactor_gauges,
-                            &reactor_config,
-                        );
-                    })?,
-            );
-        } else {
-            let inner = Arc::clone(&inner);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("staub-router".into())
-                    .spawn(move || threaded_loop(&inner, &listener))?,
-            );
-        }
+        let service = Arc::new(RouterService {
+            inner: Arc::clone(&inner),
+        });
+        let driver_gauges = Arc::clone(&gauges);
+        let reactor_config = ReactorConfig {
+            workers: inner.config.workers.max(1),
+            max_line_bytes: inner.config.max_line_bytes,
+        };
+        let driver = std::thread::Builder::new()
+            .name("staub-router".into())
+            .spawn(move || {
+                let _ = reactor::run(&service, vec![listener], &driver_gauges, &reactor_config);
+            })?;
 
         Ok(Router {
             inner,
             addr,
             gauges,
-            handles,
+            driver,
         })
     }
 
@@ -295,7 +276,7 @@ impl Router {
         &self.inner.node
     }
 
-    /// Open client connections right now (reactor mode).
+    /// Open client connections right now.
     pub fn open_connections(&self) -> u64 {
         self.gauges.open_connections.load(Ordering::Relaxed)
     }
@@ -306,10 +287,8 @@ impl Router {
     }
 
     /// Waits for the drain to complete.
-    pub fn join(mut self) {
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+    pub fn join(self) {
+        let _ = self.driver.join();
     }
 }
 
@@ -339,81 +318,11 @@ impl reactor::Service for RouterService {
     }
 }
 
-/// Thread-per-connection fallback for platforms without the reactor.
-fn threaded_loop(inner: &Arc<RouterInner>, listener: &EndpointListener) {
-    let mut handles: Vec<JoinHandle<()>> = Vec::new();
-    while !inner.shutting_down() {
-        match listener.try_accept() {
-            Ok(stream) => {
-                if stream.set_nonblocking(false).is_err()
-                    || stream
-                        .set_read_timeout(Some(Duration::from_millis(50)))
-                        .is_err()
-                {
-                    continue;
-                }
-                let inner = Arc::clone(inner);
-                if let Ok(h) = std::thread::Builder::new()
-                    .name("staub-route-conn".into())
-                    .spawn(move || {
-                        let mut stream = stream;
-                        let mut reader = LineReader::new(inner.config.max_line_bytes);
-                        loop {
-                            match reader.next_line(&mut stream) {
-                                Ok(LineRead::Line(line)) => {
-                                    if line.trim().is_empty() {
-                                        continue;
-                                    }
-                                    let (reply, keep) = handle_line(&inner, &line);
-                                    let write = stream
-                                        .write_all(reply.as_bytes())
-                                        .and_then(|()| stream.write_all(b"\n"))
-                                        .and_then(|()| stream.flush());
-                                    if write.is_err() || !keep {
-                                        return;
-                                    }
-                                }
-                                Ok(LineRead::Idle) => {
-                                    if inner.shutting_down() {
-                                        return;
-                                    }
-                                }
-                                Ok(LineRead::TooLong { observed }) => {
-                                    let reply = protocol::oversized_reply(
-                                        1,
-                                        inner.config.max_line_bytes,
-                                        observed,
-                                    );
-                                    let _ = stream.write_all(reply.as_bytes());
-                                    let _ = stream.write_all(b"\n");
-                                    return;
-                                }
-                                Ok(LineRead::BadUtf8) | Ok(LineRead::Eof) | Err(_) => return,
-                            }
-                        }
-                    })
-                {
-                    handles.push(h);
-                }
-                handles.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-    for h in handles {
-        let _ = h.join();
-    }
-}
-
 fn handle_line(inner: &Arc<RouterInner>, line: &str) -> (String, bool) {
     let (v, request) = match protocol::parse_request(line) {
-        Err(ProtocolError { code, message }) => {
+        Err(err) => {
             inner.errors.fetch_add(1, Ordering::Relaxed);
-            let keep_open = code == codes::UNSUPPORTED_VERSION;
-            return (protocol::error_reply(1, None, code, &message), keep_open);
+            return protocol::malformed_reply(&err);
         }
         Ok(parsed) => parsed,
     };
@@ -421,16 +330,7 @@ fn handle_line(inner: &Arc<RouterInner>, line: &str) -> (String, bool) {
         Request::Health { id } => (health_reply(inner, v, id.as_deref()), true),
         Request::Shutdown { id } => {
             inner.local_shutdown.store(true, Ordering::SeqCst);
-            let mut out = format!("{{\"v\":{v},");
-            match &id {
-                Some(id) => {
-                    out.push_str("\"id\":");
-                    json::push_str_lit(&mut out, id);
-                }
-                None => out.push_str("\"id\":null"),
-            }
-            out.push_str(",\"status\":\"ok\",\"draining\":true}");
-            (out, false)
+            (protocol::shutdown_reply(v, id.as_deref()), false)
         }
         Request::Solve(req) => {
             if inner.shutting_down() {
@@ -497,15 +397,9 @@ fn forward_line(req: &SolveRequest, node: &str) -> String {
 
 fn route_solve(inner: &Arc<RouterInner>, v: u32, req: &SolveRequest) -> String {
     let id = req.id.as_deref();
-    // A hop list already naming this router means the request cycled.
-    if req.route.iter().any(|hop| hop == &inner.node) {
+    if let Some(refusal) = protocol::routing_loop_reply(v, req, &inner.node) {
         inner.errors.fetch_add(1, Ordering::Relaxed);
-        return protocol::error_reply(
-            v,
-            id,
-            codes::ROUTING_LOOP,
-            &format!("route already contains this node (`{}`)", inner.node),
-        );
+        return refusal;
     }
     // Canonicalize locally so α-renamed repeats shard identically; a
     // constraint the router cannot parse would not parse on the backend

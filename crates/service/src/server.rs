@@ -1,18 +1,18 @@
-//! The `staub serve` daemon: listeners, admission control, and the
-//! per-request solve path (answer store → scheduler).
+//! The `staub serve` daemon: listeners, admission control, and the one
+//! answer path of `solve` and session `check` (answer store → scheduler).
 //!
 //! The server speaks the newline-delimited JSON protocol of
 //! [`crate::protocol`] over any [`Endpoint`] (TCP and, on Unix, a Unix
-//! domain socket). Connections are served by the nonblocking epoll
-//! [`crate::reactor`] on Linux — idle connections cost a slab entry, not
-//! a thread, and requests execute on a fixed worker pool — or by the
-//! legacy thread-per-connection loop elsewhere (and on request, via
-//! [`ServerConfig::threaded`]). Each `solve` passes through an
-//! [`AdmissionGate`] bounding concurrent scheduler work, then through
-//! the [`AnswerStore`] (the in-memory LRU, or the crash-persistent
-//! snapshot+log store when [`ServerConfig::persist`] is set), and only
-//! on a miss spawns lanes via
-//! [`run_one_with`](staub_core::run_one_with).
+//! domain socket). Connections are served by the [`crate::reactor`]
+//! driver: the epoll reactor on Linux, where idle connections cost a slab
+//! entry, not a thread, and requests execute on a fixed worker pool; a
+//! blocking thread-per-connection driver elsewhere. Each `solve` and each
+//! session `check` passes through an admission gate bounding concurrent
+//! scheduler work, then through the [`AnswerStore`] (the in-memory LRU,
+//! or the crash-persistent snapshot+log store when
+//! [`ServerConfig::persist`] is set), and only on a miss runs the
+//! scheduler: [`run_one_with`] for `solve`, the session's warm engine for
+//! `check`.
 //!
 //! # Drain
 //!
@@ -38,7 +38,7 @@
 //! verdict for a canonically identical constraint is sound by
 //! construction.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -46,18 +46,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use staub_core::{
-    run_one_with, BatchConfig, BatchVerdict, Metrics, RunOptions, Session, StaubConfig, StaubError,
-    StaubOutcome,
+    run_one_with, BatchConfig, BatchVerdict, Metrics, Provenance, RunOptions, Session, StaubConfig,
+    StaubError, StaubOutcome,
 };
 use staub_smtlib::{canonicalize, evaluate, Canonical, Model, Script, Value};
 use staub_solver::SolverProfile;
 
 use crate::cache::{AnswerCache, AnswerStore, CacheConfig, CachedVerdict};
-use crate::endpoint::{Endpoint, EndpointListener, EndpointStream};
+use crate::endpoint::Endpoint;
 use crate::persist::{PersistConfig, PersistentStore};
-use crate::protocol::{
-    self, codes, LineRead, LineReader, ProtocolError, Request, SolveReply, SolveRequest,
-};
+use crate::protocol::{self, codes, Request, SolveReply, SolveRequest};
 use crate::reactor::{self, ReactorConfig, ReactorGauges};
 use crate::signal;
 
@@ -87,12 +85,6 @@ pub struct ServerConfig {
     pub max_waiting: usize,
     /// Request-line size cap in bytes (satellite of the parser depth cap).
     pub max_line_bytes: usize,
-    /// Per-read socket timeout in threaded mode: the idle-poll
-    /// granularity for drain. The reactor uses it as its poll interval.
-    pub read_timeout: Duration,
-    /// Force the legacy thread-per-connection loop even where the epoll
-    /// reactor is available.
-    pub threaded: bool,
     /// Reactor worker threads (the fixed pool that executes requests).
     pub workers: usize,
     /// This node's name in protocol-v3 `route` hop lists. Defaults to
@@ -111,8 +103,6 @@ impl Default for ServerConfig {
             max_inflight: 4,
             max_waiting: 64,
             max_line_bytes: protocol::DEFAULT_MAX_LINE_BYTES,
-            read_timeout: Duration::from_millis(50),
-            threaded: false,
             workers: 4,
             node_name: None,
         }
@@ -121,7 +111,7 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// The default configuration: ephemeral loopback TCP, in-memory
-    /// cache, epoll reactor where available.
+    /// cache.
     pub fn new() -> ServerConfig {
         ServerConfig::default()
     }
@@ -176,13 +166,6 @@ impl ServerConfig {
         self
     }
 
-    /// Forces the legacy thread-per-connection mode.
-    #[must_use]
-    pub fn threaded(mut self, threaded: bool) -> ServerConfig {
-        self.threaded = threaded;
-        self
-    }
-
     /// Sets the reactor worker-pool size.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> ServerConfig {
@@ -195,62 +178,6 @@ impl ServerConfig {
     pub fn node_name(mut self, name: impl Into<String>) -> ServerConfig {
         self.node_name = Some(name.into());
         self
-    }
-}
-
-/// The pre-v3 configuration shape, kept one release for callers that
-/// have not migrated (mirrors the `RunOptions` migration pattern).
-#[deprecated(note = "use `ServerConfig` (builder) with `Server::launch`")]
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// TCP address to bind (e.g. `127.0.0.1:7227`; port `0` for ephemeral).
-    pub tcp: String,
-    /// Optional Unix-socket path to additionally bind (Unix only).
-    pub unix: Option<std::path::PathBuf>,
-    /// Scheduler configuration for cache misses.
-    pub batch: BatchConfig,
-    /// Answer-cache tuning; `None` disables the cache entirely.
-    pub cache: Option<CacheConfig>,
-    /// Maximum `solve` requests running lanes at once.
-    pub max_inflight: usize,
-    /// Maximum queued `solve` requests before `overloaded`.
-    pub max_waiting: usize,
-    /// Request-line size cap in bytes.
-    pub max_line_bytes: usize,
-    /// Per-read socket timeout.
-    pub read_timeout: Duration,
-}
-
-#[allow(deprecated)]
-impl Default for ServeConfig {
-    fn default() -> ServeConfig {
-        ServeConfig {
-            tcp: "127.0.0.1:0".to_string(),
-            unix: None,
-            batch: BatchConfig::default(),
-            cache: Some(CacheConfig::default()),
-            max_inflight: 4,
-            max_waiting: 64,
-            max_line_bytes: protocol::DEFAULT_MAX_LINE_BYTES,
-            read_timeout: Duration::from_millis(50),
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<ServeConfig> for ServerConfig {
-    fn from(old: ServeConfig) -> ServerConfig {
-        ServerConfig {
-            tcp: Endpoint::Tcp(old.tcp),
-            unix: old.unix,
-            batch: old.batch,
-            cache: old.cache,
-            max_inflight: old.max_inflight,
-            max_waiting: old.max_waiting,
-            max_line_bytes: old.max_line_bytes,
-            read_timeout: old.read_timeout,
-            ..ServerConfig::default()
-        }
     }
 }
 
@@ -339,7 +266,6 @@ struct Inner {
     metrics: Arc<Metrics>,
     gate: AdmissionGate,
     gauges: Arc<ReactorGauges>,
-    reactor_enabled: bool,
     node: String,
     started: Instant,
     local_shutdown: AtomicBool,
@@ -393,12 +319,12 @@ impl reactor::Service for ServeService {
 pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    accept_handles: Vec<JoinHandle<()>>,
+    driver: JoinHandle<()>,
 }
 
 impl Server {
     /// Binds the listeners, warm-starts the answer store, and starts the
-    /// service threads (the reactor, or the legacy accept loops).
+    /// connection driver.
     ///
     /// # Errors
     ///
@@ -420,7 +346,6 @@ impl Server {
             (Some(cache), Some(persist)) => Some(Arc::new(PersistentStore::open(cache, persist)?)),
         };
 
-        let reactor_enabled = reactor::supported() && !config.threaded;
         let node = config
             .node_name
             .clone()
@@ -430,7 +355,6 @@ impl Server {
             store,
             metrics: Arc::new(Metrics::new()),
             gauges: Arc::new(ReactorGauges::default()),
-            reactor_enabled,
             node,
             started: Instant::now(),
             local_shutdown: AtomicBool::new(false),
@@ -439,48 +363,25 @@ impl Server {
             config,
         });
 
-        let mut accept_handles = Vec::new();
-        if reactor_enabled {
-            let service = Arc::new(ServeService {
-                inner: Arc::clone(&inner),
-            });
-            let gauges = Arc::clone(&inner.gauges);
-            let reactor_config = ReactorConfig {
-                workers: inner.config.workers.max(1),
-                max_line_bytes: inner.config.max_line_bytes,
-                poll_interval: inner.config.read_timeout,
-            };
-            accept_handles.push(
-                std::thread::Builder::new()
-                    .name("staub-reactor".into())
-                    .spawn(move || {
-                        let _ = reactor::run(&service, listeners, &gauges, &reactor_config);
-                    })?,
-            );
-        } else {
-            for listener in listeners {
-                let inner = Arc::clone(&inner);
-                accept_handles.push(
-                    std::thread::Builder::new()
-                        .name("staub-accept".into())
-                        .spawn(move || accept_loop(&inner, &listener))?,
-                );
-            }
-        }
+        let service = Arc::new(ServeService {
+            inner: Arc::clone(&inner),
+        });
+        let gauges = Arc::clone(&inner.gauges);
+        let reactor_config = ReactorConfig {
+            workers: inner.config.workers.max(1),
+            max_line_bytes: inner.config.max_line_bytes,
+        };
+        let driver = std::thread::Builder::new()
+            .name("staub-reactor".into())
+            .spawn(move || {
+                let _ = reactor::run(&service, listeners, &gauges, &reactor_config);
+            })?;
 
         Ok(Server {
             inner,
             addr,
-            accept_handles,
+            driver,
         })
-    }
-
-    /// Pre-v3 entry point; binds and starts exactly like
-    /// [`Server::launch`] after converting the configuration.
-    #[deprecated(note = "use `Server::launch` with `ServerConfig`")]
-    #[allow(deprecated)]
-    pub fn start(config: ServeConfig) -> io::Result<Server> {
-        Server::launch(config.into())
     }
 
     /// The bound TCP address (useful with an ephemeral port).
@@ -495,10 +396,8 @@ impl Server {
 
     /// Waits for the drain to complete: service threads exited, every
     /// connection closed.
-    pub fn join(mut self) -> DrainSummary {
-        for h in self.accept_handles.drain(..) {
-            let _ = h.join();
-        }
+    pub fn join(self) -> DrainSummary {
+        let _ = self.driver.join();
         DrainSummary {
             connections: self.inner.connections.load(Ordering::Relaxed),
             requests: self.inner.requests.load(Ordering::Relaxed),
@@ -522,98 +421,6 @@ pub struct DrainSummary {
     pub requests: u64,
     /// Total time the server was up.
     pub uptime: Duration,
-}
-
-// ---------------------------------------------------------------------------
-// Legacy thread-per-connection mode
-// ---------------------------------------------------------------------------
-
-/// Poll cadence of the nonblocking accept loops.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
-fn accept_loop(inner: &Arc<Inner>, listener: &EndpointListener) {
-    let mut conn_handles: Vec<JoinHandle<()>> = Vec::new();
-    while !inner.shutting_down() {
-        match listener.try_accept() {
-            Ok(stream) => {
-                // Accepted streams are served blocking with a read
-                // timeout (the drain poll tick).
-                if stream.set_nonblocking(false).is_err()
-                    || stream
-                        .set_read_timeout(Some(inner.config.read_timeout))
-                        .is_err()
-                {
-                    continue; // peer already gone
-                }
-                inner.connections.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.incr("serve.connections", 1);
-                inner
-                    .gauges
-                    .open_connections
-                    .fetch_add(1, Ordering::Relaxed);
-                let inner = Arc::clone(inner);
-                if let Ok(handle) =
-                    std::thread::Builder::new()
-                        .name("staub-conn".into())
-                        .spawn(move || {
-                            connection_loop(&inner, stream);
-                            inner
-                                .gauges
-                                .open_connections
-                                .fetch_sub(1, Ordering::Relaxed);
-                        })
-                {
-                    conn_handles.push(handle);
-                }
-                // Opportunistically reap finished connection threads so a
-                // long-lived server does not accumulate join handles.
-                conn_handles.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    for handle in conn_handles {
-        let _ = handle.join();
-    }
-}
-
-fn write_line(stream: &mut impl Write, line: &str) -> io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
-}
-
-/// Half-close then drain before dropping a connection that was just sent
-/// a final reply. Closing while unread request bytes sit in the receive
-/// buffer (an oversized line's tail, a pipelined request) makes the
-/// kernel send RST, destroying the buffered reply before the peer reads
-/// it. Sending FIN and discarding input until the peer hangs up — bounded
-/// by a short deadline — lets the reply land. Mirrors the reactor's
-/// lingering-close state.
-fn linger_close(stream: &mut EndpointStream) {
-    const LINGER: Duration = Duration::from_secs(2);
-    if stream.shutdown_write().is_err() {
-        return;
-    }
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let deadline = Instant::now() + LINGER;
-    let mut sink = [0u8; 4096];
-    while Instant::now() < deadline {
-        match stream.read(&mut sink) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return,
-        }
-    }
 }
 
 /// Open sessions of one connection. Session state is
@@ -641,53 +448,6 @@ impl SessionTable {
         let before = self.open.len();
         self.open.retain(|(n, _)| n != name);
         self.open.len() < before
-    }
-}
-
-fn connection_loop(inner: &Arc<Inner>, mut stream: EndpointStream) {
-    let mut reader = LineReader::new(inner.config.max_line_bytes);
-    let mut sessions = SessionTable::default();
-    loop {
-        match reader.next_line(&mut stream) {
-            Ok(LineRead::Line(line)) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                inner.requests.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.incr("serve.requests", 1);
-                let (reply, keep_open) = handle_line(inner, &mut sessions, &line);
-                if write_line(&mut stream, &reply).is_err() {
-                    return;
-                }
-                if !keep_open {
-                    linger_close(&mut stream);
-                    return;
-                }
-            }
-            Ok(LineRead::Idle) => {
-                if inner.shutting_down() {
-                    return; // drain: drop idle keep-alive connections
-                }
-            }
-            Ok(LineRead::TooLong { observed }) => {
-                inner.metrics.incr("serve.errors", 1);
-                let reply = protocol::oversized_reply(1, inner.config.max_line_bytes, observed);
-                if write_line(&mut stream, &reply).is_ok() {
-                    linger_close(&mut stream);
-                }
-                return;
-            }
-            Ok(LineRead::BadUtf8) => {
-                inner.metrics.incr("serve.errors", 1);
-                let reply =
-                    protocol::error_reply(1, None, codes::BAD_JSON, "request line is not UTF-8");
-                if write_line(&mut stream, &reply).is_ok() {
-                    linger_close(&mut stream);
-                }
-                return;
-            }
-            Ok(LineRead::Eof) | Err(_) => return,
-        }
     }
 }
 
@@ -729,14 +489,9 @@ fn handle_line(inner: &Arc<Inner>, sessions: &mut SessionTable, line: &str) -> (
     }
 
     let (v, request) = match protocol::parse_request(line) {
-        Err(ProtocolError { code, message }) => {
-            // A malformed line means the sender's framing can no longer be
-            // trusted: reply with the structured error, then close. (The
-            // one exception is a *well-formed* line at a future version —
-            // framing is fine, so the connection survives the refusal.)
+        Err(err) => {
             inner.metrics.incr("serve.errors", 1);
-            let keep_open = code == codes::UNSUPPORTED_VERSION;
-            return (protocol::error_reply(1, None, code, &message), keep_open);
+            return protocol::malformed_reply(&err);
         }
         Ok(parsed) => parsed,
     };
@@ -744,34 +499,14 @@ fn handle_line(inner: &Arc<Inner>, sessions: &mut SessionTable, line: &str) -> (
         Request::Health { id } => (health_reply(inner, v, id.as_deref()), true),
         Request::Shutdown { id } => {
             inner.local_shutdown.store(true, Ordering::SeqCst);
-            let mut out = format!("{{\"v\":{v},");
-            match &id {
-                Some(id) => {
-                    out.push_str("\"id\":");
-                    crate::json::push_str_lit(&mut out, id);
-                }
-                None => out.push_str("\"id\":null"),
-            }
-            out.push_str(",\"status\":\"ok\",\"draining\":true}");
-            (out, false)
+            (protocol::shutdown_reply(v, id.as_deref()), false)
         }
         Request::Solve(req) => {
-            let id = req.id.clone();
-            // A request whose hop list already names this node has been
-            // here before: forwarding or solving it again would cycle.
-            if req.route.iter().any(|hop| hop == &inner.node) {
+            if let Some(refusal) = protocol::routing_loop_reply(v, &req, &inner.node) {
                 inner.metrics.incr("serve.errors", 1);
-                return (
-                    protocol::error_reply(
-                        v,
-                        id.as_deref(),
-                        codes::ROUTING_LOOP,
-                        &format!("route already contains this node (`{}`)", inner.node),
-                    ),
-                    true,
-                );
+                return (refusal, true);
             }
-            gated(inner, id.as_deref(), v, || solve_one(inner, v, &req))
+            gated(inner, req.id.as_deref(), v, || solve_one(inner, v, &req))
         }
         Request::SessionOpen {
             id,
@@ -844,7 +579,7 @@ fn unknown_session(inner: &Arc<Inner>, id: Option<&str>, session: &str) -> Strin
 }
 
 // ---------------------------------------------------------------------------
-// The solve path
+// The answer path
 // ---------------------------------------------------------------------------
 
 /// Rebinds a cached canonical-index model onto the requester's symbols.
@@ -880,44 +615,21 @@ fn named_bindings(script: &Script, model: &Model) -> Vec<(String, String)> {
         .collect()
 }
 
-/// A cached verdict ready to serve: already rebound onto the
-/// requester's symbols and re-verified.
-enum CacheAnswer {
-    Sat {
-        bindings: Vec<(String, String)>,
-        winner: Option<String>,
-    },
-    Unsat {
-        winner: Option<String>,
-    },
-}
-
-/// Wire projection of a cached answer: verdict name, sat bindings, winner.
-type CacheParts = (&'static str, Option<Vec<(String, String)>>, Option<String>);
-
-impl CacheAnswer {
-    fn into_parts(self) -> CacheParts {
-        match self {
-            CacheAnswer::Sat { bindings, winner } => ("sat", Some(bindings), winner),
-            CacheAnswer::Unsat { winner } => ("unsat", None, winner),
-        }
-    }
-}
+/// A verdict ready to reply with: its name, the `sat` bindings on the
+/// requester's symbols, and the lane that decided it.
+type Answer = (&'static str, Option<Vec<(String, String)>>, Option<String>);
 
 /// Consults the answer store for a canonicalized script. `None` is a
 /// miss — including an entry that failed re-verification, which is never
 /// served (see the module docs on cached-answer soundness).
-fn cache_lookup(inner: &Inner, canon: &Canonical, script: &Script) -> Option<CacheAnswer> {
+fn cache_lookup(inner: &Inner, canon: &Canonical, script: &Script) -> Option<Answer> {
     let store = inner.store.as_ref()?;
     match store.lookup(canon.fingerprint, &canon.key) {
         Some(CachedVerdict::Sat { model, winner }) => {
             if let Some(rebound) = rebind_model(canon, &model) {
                 if model_satisfies(script, &rebound) {
                     inner.metrics.incr("serve.cache.hit", 1);
-                    return Some(CacheAnswer::Sat {
-                        bindings: named_bindings(script, &rebound),
-                        winner,
-                    });
+                    return Some(("sat", Some(named_bindings(script, &rebound)), winner));
                 }
             }
             // Re-verification failed: never serve it, solve fresh.
@@ -926,7 +638,7 @@ fn cache_lookup(inner: &Inner, canon: &Canonical, script: &Script) -> Option<Cac
         }
         Some(CachedVerdict::Unsat { winner }) => {
             inner.metrics.incr("serve.cache.hit", 1);
-            Some(CacheAnswer::Unsat { winner })
+            Some(("unsat", None, winner))
         }
         None => {
             inner.metrics.incr("serve.cache.miss", 1);
@@ -938,12 +650,12 @@ fn cache_lookup(inner: &Inner, canon: &Canonical, script: &Script) -> Option<Cac
 /// Stores a fresh `sat` model or `unsat` verdict under the canonical
 /// key (`unknown` is a budget artifact, never cached) and refreshes the
 /// cache gauges.
-fn cache_store(inner: &Inner, canon: &Canonical, model: Option<&Model>, winner: &Option<String>) {
+fn cache_store(inner: &Inner, canon: &Canonical, verdict: &BatchVerdict, winner: &Option<String>) {
     let Some(store) = inner.store.as_ref() else {
         return;
     };
-    let verdict = match model {
-        Some(model) => {
+    let verdict = match verdict {
+        BatchVerdict::Sat(model) => {
             // Index the model by canonical variable; symbols that do
             // not occur in any assertion have no canonical index and
             // are irrelevant to re-verification, so they are dropped.
@@ -956,9 +668,10 @@ fn cache_store(inner: &Inner, canon: &Canonical, model: Option<&Model>, winner: 
                 winner: winner.clone(),
             }
         }
-        None => CachedVerdict::Unsat {
+        BatchVerdict::Unsat => CachedVerdict::Unsat {
             winner: winner.clone(),
         },
+        BatchVerdict::Unknown => return,
     };
     store.record(canon.fingerprint, &canon.key, verdict);
     let stats = store.stats();
@@ -981,6 +694,93 @@ fn reply_route(inner: &Inner, req: &SolveRequest) -> Vec<String> {
     route
 }
 
+/// The server's scheduler configuration with a request's budget
+/// overrides applied, each clamped to the configured maximum: a client
+/// can ask for less work than the server default, never more.
+fn clamped_batch(inner: &Inner, timeout_ms: Option<u64>, steps: Option<u64>) -> BatchConfig {
+    let mut batch = inner.config.batch.clone();
+    if let Some(ms) = timeout_ms {
+        batch.timeout = batch.timeout.min(Duration::from_millis(ms));
+    }
+    if let Some(steps) = steps {
+        batch.steps = batch.steps.min(steps.max(1));
+    }
+    batch
+}
+
+/// What the reply to a `solve` or session `check` takes from its request.
+struct Asked<'a> {
+    /// When the request started, for `wall_ms`.
+    start: Instant,
+    v: u32,
+    id: Option<&'a str>,
+    session: Option<&'a str>,
+    route: Vec<String>,
+    no_cache: bool,
+}
+
+/// A fresh answer from a miss solver.
+struct Fresh {
+    verdict: BatchVerdict,
+    winner: Option<String>,
+    provenance: Option<Provenance>,
+    stats_json: Option<String>,
+}
+
+/// The one answer path of `solve` and session `check`: canonicalize,
+/// serve a store hit (a `sat` only after re-verification), otherwise run
+/// `solve`, store its decided verdict, and build the reply. `solve`
+/// returns an error reply instead when it cannot answer.
+fn answer(
+    inner: &Inner,
+    asked: Asked<'_>,
+    script: &Script,
+    solve: impl FnOnce() -> Result<Fresh, String>,
+) -> String {
+    let canon = canonicalize(script);
+    let use_cache = inner.store.is_some() && !asked.no_cache;
+    let hit = if use_cache {
+        cache_lookup(inner, &canon, script)
+    } else {
+        None
+    };
+    let (cache, (verdict, model, winner), provenance, stats_json) = match hit {
+        Some(answer) => ("hit", answer, None, None),
+        None => {
+            let fresh = match solve() {
+                Ok(fresh) => fresh,
+                Err(reply) => return reply,
+            };
+            if use_cache {
+                cache_store(inner, &canon, &fresh.verdict, &fresh.winner);
+            }
+            let (verdict, model) = match &fresh.verdict {
+                BatchVerdict::Sat(model) => ("sat", Some(named_bindings(script, model))),
+                BatchVerdict::Unsat => ("unsat", None),
+                BatchVerdict::Unknown => ("unknown", None),
+            };
+            let cache = if use_cache { "miss" } else { "off" };
+            let answer = (verdict, model, fresh.winner);
+            (cache, answer, fresh.provenance, fresh.stats_json)
+        }
+    };
+    SolveReply {
+        v: asked.v,
+        id: asked.id.map(str::to_string),
+        session: asked.session.map(str::to_string),
+        verdict,
+        model,
+        winner,
+        provenance,
+        cache,
+        fingerprint: canon.fingerprint_hex(),
+        wall_ms: asked.start.elapsed().as_secs_f64() * 1e3,
+        stats_json,
+        route: asked.route,
+    }
+    .to_json()
+}
+
 fn solve_one(inner: &Arc<Inner>, v: u32, req: &SolveRequest) -> String {
     let start = Instant::now();
     let id = req.id.as_deref();
@@ -997,78 +797,31 @@ fn solve_one(inner: &Arc<Inner>, v: u32, req: &SolveRequest) -> String {
         return protocol::error_reply(v, id, codes::EMPTY_SCRIPT, "constraint asserts nothing");
     }
 
-    let canon = canonicalize(&script);
-    let use_cache = inner.store.is_some() && !req.no_cache;
-
-    if use_cache {
-        if let Some(answer) = cache_lookup(inner, &canon, &script) {
-            let (verdict, model, winner) = answer.into_parts();
-            return SolveReply {
-                v,
-                id: req.id.clone(),
-                session: None,
-                verdict,
-                model,
-                winner,
-                provenance: None,
-                cache: "hit",
-                fingerprint: canon.fingerprint_hex(),
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                stats_json: None,
-                route: reply_route(inner, req),
-            }
-            .to_json();
-        }
-    }
-
-    // Miss (or cache off): run the lanes, with per-request budgets clamped
-    // to the server's configured maxima.
-    let mut batch = inner.config.batch.clone();
-    if let Some(ms) = req.timeout_ms {
-        batch.timeout = batch.timeout.min(Duration::from_millis(ms));
-    }
-    if let Some(steps) = req.steps {
-        batch.steps = batch.steps.min(steps.max(1));
-    }
-    let name = req.id.clone().unwrap_or_else(|| "request".to_string());
-    let options = RunOptions {
-        metrics: Some(Arc::clone(&inner.metrics)),
-        ..RunOptions::default()
-    };
-    let report = inner.metrics.time("serve.solve", || {
-        run_one_with(&name, &script, &batch, &options)
-    });
-
-    let winner = report.winner_lane().map(|l| l.spec.label());
-    let (verdict, bindings): (&'static str, Option<Vec<(String, String)>>) = match &report.verdict {
-        BatchVerdict::Sat(model) => ("sat", Some(named_bindings(&script, model))),
-        BatchVerdict::Unsat => ("unsat", None),
-        BatchVerdict::Unknown => ("unknown", None),
-    };
-
-    if use_cache {
-        match &report.verdict {
-            BatchVerdict::Sat(model) => cache_store(inner, &canon, Some(model), &winner),
-            BatchVerdict::Unsat => cache_store(inner, &canon, None, &winner),
-            BatchVerdict::Unknown => {}
-        }
-    }
-
-    SolveReply {
+    let asked = Asked {
+        start,
         v,
-        id: req.id.clone(),
+        id,
         session: None,
-        verdict,
-        model: bindings,
-        winner,
-        provenance: report.provenance(),
-        cache: if use_cache { "miss" } else { "off" },
-        fingerprint: canon.fingerprint_hex(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        stats_json: Some(report.stats_json()),
         route: reply_route(inner, req),
-    }
-    .to_json()
+        no_cache: req.no_cache,
+    };
+    answer(inner, asked, &script, || {
+        let batch = clamped_batch(inner, req.timeout_ms, req.steps);
+        let name = req.id.clone().unwrap_or_else(|| "request".to_string());
+        let options = RunOptions {
+            metrics: Some(Arc::clone(&inner.metrics)),
+            ..RunOptions::default()
+        };
+        let report = inner.metrics.time("serve.solve", || {
+            run_one_with(&name, &script, &batch, &options)
+        });
+        Ok(Fresh {
+            winner: report.winner_lane().map(|l| l.spec.label()),
+            provenance: report.provenance(),
+            stats_json: Some(report.stats_json()),
+            verdict: report.verdict,
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1091,17 +844,8 @@ fn open_session(
             &format!("session limit ({MAX_SESSIONS_PER_CONN}) reached on this connection"),
         );
     }
-    // Per-check budgets are fixed at open time, clamped to the server's
-    // configured maxima (same policy as per-request `solve` overrides).
-    let batch = &inner.config.batch;
-    let mut timeout = batch.timeout;
-    if let Some(ms) = timeout_ms {
-        timeout = timeout.min(Duration::from_millis(ms));
-    }
-    let mut step_budget = batch.steps;
-    if let Some(s) = steps {
-        step_budget = step_budget.min(s.max(1));
-    }
+    // Per-check budgets are fixed at open time.
+    let batch = clamped_batch(inner, timeout_ms, steps);
     let config = StaubConfig {
         width_choice: batch.width_choice,
         limits: batch.limits,
@@ -1110,8 +854,8 @@ fn open_session(
             .first()
             .copied()
             .unwrap_or(SolverProfile::Zed),
-        timeout,
-        steps: step_budget,
+        timeout: batch.timeout,
+        steps: batch.steps,
         ..StaubConfig::default()
     };
     let session = Session::new(config).with_metrics(Arc::clone(&inner.metrics));
@@ -1139,72 +883,42 @@ fn check_session(
         return protocol::error_reply(2, id, codes::EMPTY_SCRIPT, "session asserts nothing");
     }
 
-    let canon = canonicalize(&script);
-    let use_cache = inner.store.is_some() && !no_cache;
-    if use_cache {
-        if let Some(answer) = cache_lookup(inner, &canon, &script) {
-            let (verdict, model, winner) = answer.into_parts();
-            return SolveReply {
-                v: 2,
-                id: id.map(str::to_string),
-                session: Some(name.to_string()),
-                verdict,
-                model,
-                winner,
-                provenance: None,
-                cache: "hit",
-                fingerprint: canon.fingerprint_hex(),
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                stats_json: None,
-                route: Vec::new(),
+    let asked = Asked {
+        start,
+        v: 2,
+        id,
+        session: Some(name),
+        route: Vec::new(),
+        no_cache,
+    };
+    answer(inner, asked, &script, || {
+        inner.metrics.incr("serve.session.checks", 1);
+        let outcome = match inner.metrics.time("serve.solve", || session.check()) {
+            Ok(outcome) => outcome,
+            Err(StaubError::EmptyScript) => {
+                inner.metrics.incr("serve.errors", 1);
+                let reply =
+                    protocol::error_reply(2, id, codes::EMPTY_SCRIPT, "session asserts nothing");
+                return Err(reply);
             }
-            .to_json();
-        }
-    }
-
-    inner.metrics.incr("serve.session.checks", 1);
-    let outcome = match inner.metrics.time("serve.solve", || session.check()) {
-        Ok(outcome) => outcome,
-        Err(StaubError::EmptyScript) => {
-            inner.metrics.incr("serve.errors", 1);
-            return protocol::error_reply(2, id, codes::EMPTY_SCRIPT, "session asserts nothing");
-        }
-    };
-
-    let provenance = outcome.provenance().clone();
-    let winner = Some(provenance.label.clone());
-    let (verdict, bindings): (&'static str, Option<Vec<(String, String)>>) = match &outcome {
-        StaubOutcome::Sat { model, .. } => ("sat", Some(named_bindings(&script, model))),
-        StaubOutcome::Unsat { .. } => ("unsat", None),
-        StaubOutcome::Unknown { .. } => ("unknown", None),
-    };
-    if use_cache {
-        match &outcome {
-            StaubOutcome::Sat { model, .. } => cache_store(inner, &canon, Some(model), &winner),
+        };
+        let provenance = outcome.provenance().clone();
+        let verdict = match outcome {
+            StaubOutcome::Sat { model, .. } => BatchVerdict::Sat(model),
             // A session `unsat` is sound — proven on the original
             // constraint, or promoted from a certified complete lane —
             // so replaying it for a canonically identical constraint is
             // sound too, the same invariant the scheduler path relies on.
-            StaubOutcome::Unsat { .. } => cache_store(inner, &canon, None, &winner),
-            StaubOutcome::Unknown { .. } => {}
-        }
-    }
-
-    SolveReply {
-        v: 2,
-        id: id.map(str::to_string),
-        session: Some(name.to_string()),
-        verdict,
-        model: bindings,
-        winner,
-        provenance: Some(provenance),
-        cache: if use_cache { "miss" } else { "off" },
-        fingerprint: canon.fingerprint_hex(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        stats_json: None,
-        route: Vec::new(),
-    }
-    .to_json()
+            StaubOutcome::Unsat { .. } => BatchVerdict::Unsat,
+            StaubOutcome::Unknown { .. } => BatchVerdict::Unknown,
+        };
+        Ok(Fresh {
+            verdict,
+            winner: Some(provenance.label.clone()),
+            provenance: Some(provenance),
+            stats_json: None,
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1243,7 +957,7 @@ fn health_reply(inner: &Arc<Inner>, v: u32, id: Option<&str>) -> String {
     ));
     out.push_str(&format!(
         ",\"reactor\":{{\"enabled\":{},\"workers\":{},\"open_connections\":{},\"busy\":{}}}",
-        inner.reactor_enabled,
+        cfg!(target_os = "linux"),
         inner.gauges.workers.load(Ordering::Relaxed),
         inner.gauges.open_connections.load(Ordering::Relaxed),
         inner.gauges.busy.load(Ordering::Relaxed),
@@ -1283,6 +997,7 @@ fn health_reply(inner: &Arc<Inner>, v: u32, id: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn tiny_config() -> ServerConfig {
         ServerConfig::new().batch(BatchConfig {
@@ -1323,17 +1038,118 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_config_converts_to_the_new_shape() {
-        #[allow(deprecated)]
-        let old = ServeConfig {
-            tcp: "127.0.0.1:9".into(),
-            max_inflight: 7,
-            ..ServeConfig::default()
+    fn solve_and_check_answers_share_the_cache() {
+        let server = Server::launch(tiny_config()).expect("bind loopback");
+        let inner = Arc::clone(&server.inner);
+        let mut sessions = SessionTable::default();
+        // Opens a session holding `constraint` and checks it through the
+        // answer path (the gate in `handle_line` is not under test).
+        let check = |sessions: &mut SessionTable, constraint: &str| {
+            let (open, _) = handle_line(&inner, sessions, r#"{"op":"session_open","v":2}"#);
+            let parsed = crate::json::parse(&open).unwrap();
+            let name = parsed.get("session").and_then(Json::as_str).unwrap();
+            let session = sessions.get_mut(name).unwrap();
+            session.assert_text(constraint).unwrap();
+            check_session(&inner, Some("c"), name, session, false)
         };
-        let new: ServerConfig = old.into();
-        assert_eq!(new.tcp, Endpoint::Tcp("127.0.0.1:9".into()));
-        assert_eq!(new.max_inflight, 7);
-        assert!(!new.threaded, "converted configs keep the reactor default");
+
+        // A `solve` answer serves an α-renamed session `check`...
+        let req = solve_req(
+            "(declare-fun x () Int)(assert (= (* x x) 49))(check-sat)",
+            Some("s"),
+        );
+        let solved = solve_one(&inner, 1, &req);
+        assert!(solved.contains("\"cache\":\"miss\""), "{solved}");
+        let checked = check(
+            &mut sessions,
+            "(declare-fun y () Int)(assert (= 49 (* y y)))",
+        );
+        assert!(checked.contains("\"cache\":\"hit\""), "{checked}");
+        assert!(checked.contains("\"model\":{\"y\":"), "{checked}");
+
+        // ...and a `check` answer serves a later α-renamed `solve`.
+        let checked = check(
+            &mut sessions,
+            "(declare-fun p () Int)(assert (> p 5))(assert (< p 9))",
+        );
+        assert!(checked.contains("\"cache\":\"miss\""), "{checked}");
+        assert!(checked.contains("\"verdict\":\"sat\""), "{checked}");
+        let req = solve_req(
+            "(declare-fun z () Int)(assert (< z 9))(assert (> z 5))(check-sat)",
+            Some("s"),
+        );
+        let solved = solve_one(&inner, 1, &req);
+        assert!(solved.contains("\"cache\":\"hit\""), "{solved}");
+        assert!(solved.contains("\"model\":{\"z\":"), "{solved}");
+
+        let stats = inner.store.as_ref().unwrap().stats();
+        assert_eq!((stats.hits, stats.misses), (2, 2));
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn reply_kinds_keep_their_keys_and_version() {
+        let server = Server::launch(tiny_config()).expect("bind loopback");
+        let inner = Arc::clone(&server.inner);
+        let constraint = "(declare-fun x () Int)(assert (> x 2))(check-sat)";
+        let solve_miss = solve_one(&inner, 3, &solve_req(constraint, Some("m")));
+        let solve_hit = solve_one(&inner, 3, &solve_req(constraint, Some("h")));
+        let mut sessions = SessionTable::default();
+        let _ = handle_line(&inner, &mut sessions, r#"{"op":"session_open","v":2}"#);
+        let session = sessions.get_mut("s1").unwrap();
+        session
+            .assert_text("(declare-fun y () Int)(assert (< y 0))")
+            .unwrap();
+        let check_miss = check_session(&inner, Some("m"), "s1", session, false);
+        let check_hit = check_session(&inner, Some("h"), "s1", session, false);
+
+        const SOLVE: &[&str] = &[
+            "cache",
+            "fingerprint",
+            "id",
+            "model",
+            "provenance",
+            "stats",
+            "status",
+            "v",
+            "verdict",
+            "wall_ms",
+            "winner",
+        ];
+        const CHECK: &[&str] = &[
+            "cache",
+            "fingerprint",
+            "id",
+            "model",
+            "provenance",
+            "session",
+            "stats",
+            "status",
+            "v",
+            "verdict",
+            "wall_ms",
+            "winner",
+        ];
+        // (reply, keys, v, cache, provenance present, stats present)
+        let kinds = [
+            (&solve_miss, SOLVE, 3, "miss", true, true),
+            (&solve_hit, SOLVE, 3, "hit", false, false),
+            (&check_miss, CHECK, 2, "miss", true, false),
+            (&check_hit, CHECK, 2, "hit", false, false),
+        ];
+        for (reply, keys, v, cache, provenance, stats) in kinds {
+            let Json::Obj(fields) = crate::json::parse(reply).unwrap() else {
+                panic!("not an object: {reply}");
+            };
+            assert_eq!(fields.keys().collect::<Vec<_>>(), keys, "{reply}");
+            assert_eq!(fields["v"].as_u64(), Some(v), "{reply}");
+            assert_eq!(fields["cache"].as_str(), Some(cache), "{reply}");
+            assert_eq!(fields["provenance"] != Json::Null, provenance, "{reply}");
+            assert_eq!(fields["stats"] != Json::Null, stats, "{reply}");
+        }
+        server.shutdown();
+        server.join();
     }
 
     #[test]

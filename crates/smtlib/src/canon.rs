@@ -31,7 +31,7 @@
 //!    subtrees tie but whose surroundings differ, which a single bottom-up
 //!    pass cannot, and without which the numbering below would fall back
 //!    to argument position, which renaming can permute. It stops once a
-//!    round splits no class of variables, or after [`MAX_ROUNDS`] rounds.
+//!    round splits no class of variables, or after `MAX_ROUNDS` rounds.
 //! 2. **Numbering** — variables get canonical indices `v0, v1, …` by first
 //!    occurrence in a traversal that visits assertions and commutative
 //!    arguments in refined shape order, breaking ties by position.
@@ -56,7 +56,7 @@
 //! that compares full keys never conflates distinct constraints. The
 //! converse does not quite hold. Variables the refinement cannot separate
 //! (symmetric ones, or a long chain that would need more than
-//! [`MAX_ROUNDS`] rounds) fall back to a positional tie-break, which at
+//! `MAX_ROUNDS` rounds) fall back to a positional tie-break, which at
 //! worst costs a cache hit, never an answer.
 //!
 //! Traversals are iterative (explicit stacks), so inputs at the parser's

@@ -1008,7 +1008,7 @@ impl<'a> Blaster<'a> {
 
 /// An incremental bit-blasting session over QF_BV (+ boolean) scripts.
 ///
-/// A session keeps one [`BlastCore`] alive across [`BvSession::check`]
+/// A session keeps one `BlastCore` alive across [`BvSession::check`]
 /// calls: the CDCL solver with its learned clauses, saved phases, and
 /// variable activities; every Tseitin gate definition ever emitted; and
 /// per-symbol-name variable encodings. Each check re-encodes the given

@@ -7,13 +7,13 @@
 //! the throughput floor under every bounded lane the scheduler races. The
 //! hot-path layout follows the MiniSat lineage:
 //!
-//! * clauses live inline in a flat `u32` arena ([`arena::ClauseArena`]) —
+//! * clauses live inline in a flat `u32` arena (`arena::ClauseArena`) —
 //!   no per-clause allocation, and a clause visit is one slice index;
 //! * watch lists hold `(clause, blocking literal)` pairs, so the common
 //!   "clause already satisfied" visit never touches clause memory;
 //! * the decision heuristic is a standalone backtrackable module
-//!   ([`brancher::Brancher`]);
-//! * between restarts an inprocessing pass ([`inprocess`]) removes
+//!   (`brancher::Brancher`);
+//! * between restarts an inprocessing pass (`inprocess`) removes
 //!   subsumed clauses and strengthens clauses by self-subsuming
 //!   resolution, under the caller's step budget.
 //!

@@ -538,8 +538,6 @@ SERVE OPTIONS:
   --fsync               fsync the log after every append (durability over
                         throughput; default is flush-only)
   --workers <N>         reactor worker threads (default 4)
-  --threaded            force thread-per-connection even where the epoll
-                        reactor is available
   --node-name <NAME>    this node's name in v3 route hop lists
                         (default serve:<bound-address>)
   --threads <N>         scheduler worker threads per request (default: cores)
@@ -617,7 +615,6 @@ fn serve_main(args: Vec<String>) -> ExitCode {
                     .fsync = true;
             }
             "--workers" => config.workers = value_of!("--workers", usize),
-            "--threaded" => config.threaded = true,
             "--node-name" => match iter.next() {
                 Some(name) => config.node_name = Some(name),
                 None => {
@@ -657,10 +654,7 @@ fn serve_main(args: Vec<String>) -> ExitCode {
             "--max-inflight" => config.max_inflight = value_of!("--max-inflight", usize),
             "--max-waiting" => config.max_waiting = value_of!("--max-waiting", usize),
             "--max-line-bytes" => config.max_line_bytes = value_of!("--max-line-bytes", usize),
-            "--help" | "-h" => {
-                println!("{SERVE_USAGE}");
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => return emit(&format_args!("{SERVE_USAGE}\n")),
             other => {
                 eprintln!("error: unexpected argument `{other}`\n{SERVE_USAGE}");
                 return ExitCode::from(2);
@@ -679,10 +673,9 @@ fn serve_main(args: Vec<String>) -> ExitCode {
         }
     };
     // The scripted wait-for-boot handshake: CI and tools watch stdout for
-    // this exact prefix before firing requests.
-    println!("listening on {}", server.local_addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    // this exact prefix before firing requests. Nobody reading it is no
+    // reason to stop serving.
+    let _ = emit(&format_args!("listening on {}\n", server.local_addr()));
     let summary = server.join();
     eprintln!(
         "; drained after {:.1?}: {} connections, {} requests",
@@ -728,10 +721,7 @@ fn client_main(args: Vec<String>) -> ExitCode {
             "--no-cache" => no_cache = true,
             "--timeout-ms" => timeout_ms = iter.next().and_then(|v| v.parse::<u64>().ok()),
             "--steps" => steps = iter.next().and_then(|v| v.parse::<u64>().ok()),
-            "--help" | "-h" => {
-                println!("{CLIENT_USAGE}");
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => return emit(&format_args!("{CLIENT_USAGE}\n")),
             other if !other.starts_with('-') => files.push(other.to_string()),
             other => {
                 eprintln!("error: unexpected argument `{other}`\n{CLIENT_USAGE}");
@@ -762,8 +752,8 @@ fn client_main(args: Vec<String>) -> ExitCode {
     fn run(conn: &mut Connection<EndpointStream>, request: &str) -> bool {
         match conn.roundtrip(request) {
             Ok(reply) => {
-                println!("{reply}");
-                reply.contains("\"status\":\"error\"")
+                emit(&format_args!("{reply}\n")) != ExitCode::SUCCESS
+                    || reply.contains("\"status\":\"error\"")
                     || reply.contains("\"status\":\"overloaded\"")
             }
             Err(e) => {
@@ -857,10 +847,7 @@ fn loadgen_main(args: Vec<String>) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--help" | "-h" => {
-                println!("{LOADGEN_USAGE}");
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => return emit(&format_args!("{LOADGEN_USAGE}\n")),
             other if !other.starts_with('-') => inputs.push(other.to_string()),
             other => {
                 eprintln!("error: unexpected argument `{other}`\n{LOADGEN_USAGE}");
@@ -899,7 +886,12 @@ fn loadgen_main(args: Vec<String>) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        None => print!("{jsonl}"),
+        None => {
+            let written = emit(&jsonl);
+            if written != ExitCode::SUCCESS {
+                return written;
+            }
+        }
     }
     eprintln!(
         "; {} requests in {:.1?}: {:.1} req/s, p50 {:.1?}, p95 {:.1?}; \
@@ -1002,10 +994,7 @@ fn route_main(args: Vec<String>) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--help" | "-h" => {
-                println!("{ROUTE_USAGE}");
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => return emit(&format_args!("{ROUTE_USAGE}\n")),
             other => {
                 eprintln!("error: unexpected argument `{other}`\n{ROUTE_USAGE}");
                 return ExitCode::from(2);
@@ -1026,9 +1015,7 @@ fn route_main(args: Vec<String>) -> ExitCode {
         }
     };
     // Same wait-for-boot handshake as `staub serve`.
-    println!("listening on {}", router.local_addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    let _ = emit(&format_args!("listening on {}\n", router.local_addr()));
     router.join();
     eprintln!("; router drained");
     ExitCode::SUCCESS
