@@ -207,7 +207,6 @@ pub fn run_suite_observed(
         .collect();
     let options = RunOptions {
         metrics: Some(Arc::clone(&metrics)),
-        ..RunOptions::default()
     };
     let reports = run_batch_with(&items, &config.batch(profile, width), &options);
     let measurements = benchmarks

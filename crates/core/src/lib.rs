@@ -19,11 +19,14 @@
 //!    evaluated exactly; failures (overflow/rounding semantic differences)
 //!    revert to the original constraint (§4.4).
 //!
-//! [`portfolio`] runs the baseline solver and the STAUB pipeline in a race,
-//! so no constraint is ever slowed down (§5.1); [`sched`] scales that race
-//! to batches of constraints, fanning each one into baseline + escalating
-//! STAUB width lanes on a work-stealing pool with cooperative cancellation.
-//! [`bvreduce`] implements the
+//! Every bounded solve is one attempt (translate, solve, lift and verify)
+//! at one width. [`sched`] races those attempts against the baseline
+//! solver, so no constraint is ever slowed down (§5.1): it analyzes each
+//! constraint once and fans it into baseline + escalating STAUB width
+//! lanes on a work-stealing pool with cooperative cancellation, and its
+//! warm escalation ladder and refine lane are the only places STAUB
+//! widens and retries. [`portfolio`] measures both legs sequentially for
+//! the paper's tables. [`bvreduce`] implements the
 //! paper's §6.4 suggestion of applying the same scheme to *already-bounded*
 //! constraints (bitvector width reduction). [`check`] re-certifies each
 //! stage's output with the `staub-lint` checker (see
@@ -33,9 +36,10 @@
 //!
 //! # Quickstart
 //!
-//! [`Session`] is the single public entrypoint: it carries warm solver
-//! state (variable maps, learned clauses, phases, activities) across
-//! checks, so related queries amortize each other's work.
+//! [`Session`] is the sequential entrypoint: it carries warm solver state
+//! (variable maps, learned clauses, phases, activities) across checks, so
+//! related queries amortize each other's work. The portfolio race is
+//! [`run_one_with`] (one constraint) or [`run_batch_with`] (a batch).
 //!
 //! ```
 //! use staub_core::{Session, StaubOutcome};

@@ -1,21 +1,28 @@
 //! The end-to-end STAUB pipeline: infer → transform → solve → verify,
 //! with fallback to the original constraint.
+//!
+//! [`bounded_attempt`] is the one bounded attempt of the crate (paper
+//! Fig. 3: translate, solve, lift and verify). The sequential pipeline,
+//! [`crate::portfolio::measure`] and every bounded lane of
+//! [`crate::sched`] run it; only the pipeline attaches its stage metrics
+//! and lint gates.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use staub_lint::LintReport;
 use staub_smtlib::{Model, Script};
-use staub_solver::{Budget, BvSession, SatResult, Solver, SolverProfile};
+use staub_solver::{Budget, BvSession, SatResult, Solver, SolverProfile, SolverStats};
 
-use crate::absint;
+use crate::absint::{self, InferredBounds};
 use crate::check::{self, CheckLevel};
 use crate::correspond::SortLimits;
 use crate::metrics::Metrics;
-use crate::portfolio;
-use crate::transform::{transform_with_widths, TransformError, Transformed, WidthMap};
-use crate::verify::lift_and_verify;
+use crate::transform::{transform, transform_with_widths, TransformError, Transformed, WidthMap};
+use crate::verify::{lift_and_verify_report, VerifyReport};
 
 /// How the translation width is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,20 +154,9 @@ pub struct StaubConfig {
     pub timeout: Duration,
     /// Deterministic step budget per solver call.
     pub steps: u64,
-    /// Iterative bound refinement (paper §6.2, proposed as future work):
-    /// when the bounded constraint is `unsat` — which may only mean the
-    /// selected width was insufficient — retry with the width doubled, up
-    /// to this many extra rounds. `0` disables refinement (the paper's
-    /// evaluated configuration).
-    pub refinement_rounds: u32,
     /// When to run the `staub-lint` certifying checker between pipeline
     /// stages (see [`CheckLevel`]).
     pub check: CheckLevel,
-    /// Per-variable width requests layered over `width_choice` (empty =
-    /// the uniform transform). Named variables are declared at their own
-    /// width and sign-extended at use sites; this is what
-    /// counterexample-guided refinement widens selectively.
-    pub var_widths: WidthMap,
 }
 
 impl Default for StaubConfig {
@@ -171,9 +167,7 @@ impl Default for StaubConfig {
             profile: SolverProfile::Zed,
             timeout: Duration::from_secs(1),
             steps: 4_000_000,
-            refinement_rounds: 0,
             check: CheckLevel::default(),
-            var_widths: WidthMap::new(),
         }
     }
 }
@@ -200,8 +194,8 @@ impl Error for StaubError {}
 /// The STAUB pipeline configuration and stage plumbing.
 ///
 /// One-shot solving goes through the incremental [`crate::Session`]
-/// (`Session::run`, `Session::race`, `Session::try_bounded`), which owns a
-/// `Staub` and carries solver state across checks:
+/// (`Session::run`, `Session::try_bounded`), which owns a `Staub` and
+/// carries solver state across checks:
 ///
 /// ```
 /// use staub_core::{Session, StaubOutcome, Via};
@@ -271,130 +265,45 @@ impl Staub {
     /// the configured limits.
     pub fn transform(&self, script: &Script) -> Result<Transformed, TransformError> {
         let bounds = absint::infer(script);
-        transform_with_widths(
+        transform(
             script,
             &bounds,
             self.config.width_choice,
             &self.config.limits,
-            &self.config.var_widths,
         )
     }
 
-    /// Adjudicates a lint report from a between-stage check. Returns `true`
-    /// when the bounded path may continue.
-    ///
-    /// # Panics
-    ///
-    /// Under [`CheckLevel::Debug`], panics on error-severity findings —
-    /// invariant violations are pipeline bugs and debug builds fail loudly.
-    fn certify(&self, stage: &str, report: staub_lint::LintReport) -> bool {
-        if report.is_clean() {
-            return true;
-        }
-        if self.config.check == CheckLevel::Debug {
-            panic!("staub-lint: `{stage}` output violates pipeline invariants:\n{report}");
-        }
-        false
-    }
-
-    /// The bounded path with an optional warm solver engine.
-    ///
-    /// When `engine` is supplied and the transformed script is pure
-    /// boolean/bitvector, the check runs through the persistent
-    /// [`BvSession`] (reusing its variable map, gate cache, learned
-    /// clauses, saved phases, and activities); otherwise a fresh
-    /// [`Solver`] is spawned, which is byte-identical to the historical
-    /// cold path.
+    /// The bounded path: infer, then one [`bounded_attempt`] at the
+    /// configured width under this pipeline's stage metrics and lint
+    /// gates, on the warm `engine` when one is given. Returns the lifted
+    /// model iff the bounded constraint was sat and the model verified
+    /// exactly against the original.
     pub(crate) fn try_bounded_with(
         &self,
         script: &Script,
         budget: &Budget,
-        mut engine: Option<&mut BvSession>,
-    ) -> Option<BoundedWin> {
-        let mut choice = self.config.width_choice;
-        let mut multiplier: u32 = 1;
-        for round in 0..=self.config.refinement_rounds {
-            if budget.exhausted() {
-                return None;
-            }
-            self.metrics.incr("pipeline.bounded_attempts", 1);
-            let bounds = self.metrics.time("stage.absint", || absint::infer(script));
-            let transformed = self
-                .metrics
-                .time("stage.transform", || {
-                    transform_with_widths(
-                        script,
-                        &bounds,
-                        choice,
-                        &self.config.limits,
-                        &self.config.var_widths,
-                    )
-                })
-                .ok()?;
-            if self.config.check.active() {
-                let clean = self.metrics.time("stage.lint", || {
-                    self.certify("transform", check::check_transformed(script, &transformed))
-                });
-                if !clean {
-                    return None;
-                }
-            }
-            let profile = self.config.profile;
-            let (result, stats) = self.metrics.time("stage.solve", || match engine {
-                Some(ref mut e) if staub_solver::is_bit_blastable(&transformed.script) => {
-                    e.check(&transformed.script, budget)
-                }
-                _ => {
-                    let outcome =
-                        Solver::new(profile).solve_with_budget(&transformed.script, budget);
-                    (outcome.result, outcome.stats)
-                }
-            });
-            self.metrics.record_solver("solver.bounded", &stats);
-            match result {
-                SatResult::Sat(bounded_model) => {
-                    if self.config.check.active() {
-                        let clean = self.metrics.time("stage.lint", || {
-                            self.certify(
-                                "solve",
-                                check::check_model(&transformed.script, &bounded_model),
-                            )
-                        });
-                        if !clean {
-                            return None;
-                        }
-                    }
-                    let verified = self.metrics.time("stage.verify", || {
-                        lift_and_verify(script, &transformed, &bounded_model)
-                    });
-                    self.metrics.incr(
-                        if verified.is_some() {
-                            "pipeline.verified"
-                        } else {
-                            "pipeline.verify_failed"
-                        },
-                        1,
-                    );
-                    return verified.map(|model| BoundedWin { model, multiplier });
-                }
-                // A bounded `unsat` cannot distinguish "really unsat" from
-                // "width too small" (§4.4 case 1): refine by doubling.
-                SatResult::Unsat if round < self.config.refinement_rounds => {
-                    let current = transformed
-                        .bv_width
-                        .or(transformed.fp_format.map(|(_, sb)| sb))
-                        .unwrap_or(8);
-                    let doubled = current.saturating_mul(2);
-                    if doubled > self.config.limits.max_bv_width {
-                        return None;
-                    }
-                    choice = WidthChoice::Fixed(doubled);
-                    multiplier = multiplier.saturating_mul(2);
-                }
-                _ => return None,
-            }
+        engine: Option<&mut BvSession>,
+    ) -> Option<Model> {
+        if budget.exhausted() {
+            return None;
         }
-        None
+        self.metrics.incr("pipeline.bounded_attempts", 1);
+        let bounds = self.metrics.time("stage.absint", || absint::infer(script));
+        let translation = Translation::At {
+            bounds: &bounds,
+            width: self.config.width_choice,
+            widths: None,
+            limits: &self.config.limits,
+        };
+        bounded_attempt(
+            script,
+            translation,
+            engine,
+            self.config.profile,
+            budget,
+            Some(self),
+        )
+        .model
     }
 
     /// The full pipeline with an optional warm solver engine (see
@@ -408,13 +317,11 @@ impl Staub {
             return Err(StaubError::EmptyScript);
         }
         let budget = Budget::new(self.config.timeout, self.config.steps);
-        if let Some(win) = self.try_bounded_with(script, &budget, engine) {
-            let provenance =
-                Provenance::bounded(self.config.profile, win.multiplier, budget.steps_used());
+        if let Some(model) = self.try_bounded_with(script, &budget, engine) {
             return Ok(StaubOutcome::Sat {
-                model: win.model,
+                model,
                 via: Via::Bounded,
-                provenance,
+                provenance: Provenance::bounded(self.config.profile, 1, budget.steps_used()),
             });
         }
         let bounded_steps = budget.steps_used();
@@ -440,25 +347,165 @@ impl Staub {
             },
         })
     }
+}
 
-    /// The portfolio race with an optional warm engine for the STAUB leg.
-    pub(crate) fn race_with(
-        &self,
-        script: &Script,
-        engine: Option<&mut BvSession>,
-    ) -> Result<StaubOutcome, StaubError> {
-        if script.assertions().is_empty() {
-            return Err(StaubError::EmptyScript);
+/// The bounded constraint one [`bounded_attempt`] solves.
+pub(crate) enum Translation<'p, 'a> {
+    /// Translate now: at `width` over `bounds`, with optional per-variable
+    /// requests layered over it.
+    At {
+        /// The inference the translation selects sorts from.
+        bounds: &'a InferredBounds,
+        /// The (base) width choice.
+        width: WidthChoice,
+        /// Per-variable width requests, if any.
+        widths: Option<&'a WidthMap>,
+        /// Target-sort limits.
+        limits: &'a SortLimits,
+    },
+    /// A translation made earlier (the scheduler's planned base transform)
+    /// and the time it took, which stands as this attempt's `t_trans`.
+    Planned(&'p Result<Transformed, TransformError>, Duration),
+}
+
+/// What one [`bounded_attempt`] produced.
+pub(crate) struct BoundedAttempt<'p> {
+    /// The bounded constraint; `None` when there is no bounded counterpart
+    /// at this width. Borrowed when the translation was planned.
+    pub transformed: Option<Cow<'p, Transformed>>,
+    /// Solve result of the bounded constraint; `None` when nothing was
+    /// solved (no bounded counterpart, or a pipeline lint gate stopped the
+    /// attempt before solving).
+    pub result: Option<SatResult>,
+    /// The lifted model, iff it verified exactly against the original.
+    pub model: Option<Model>,
+    /// What verification found, whenever a bounded model was verified.
+    pub report: Option<VerifyReport>,
+    /// Translation time (inference excluded: callers that inferred add it).
+    pub t_trans: Duration,
+    /// Bounded solving time.
+    pub t_post: Duration,
+    /// Lift and verification time.
+    pub t_check: Duration,
+    /// Solver-internal counters from the bounded solve.
+    pub stats: SolverStats,
+}
+
+/// One bounded attempt (paper Fig. 3): translate, solve under the caller's
+/// `budget`, then lift the bounded model and verify it exactly against the
+/// original `script`. The solve runs on the warm `engine` when one is given
+/// and the bounded constraint is pure boolean/bitvector, and on a fresh
+/// `profile` solver otherwise. With a `pipeline`, each stage is timed into
+/// its `stage.*` metrics, solver counters go to `solver.bounded.*`, and
+/// under [`StaubConfig::check`] the translation and the bounded model are
+/// linted before the next stage runs.
+pub(crate) fn bounded_attempt<'p>(
+    script: &Script,
+    translation: Translation<'p, '_>,
+    engine: Option<&mut BvSession>,
+    profile: SolverProfile,
+    budget: &Budget,
+    pipeline: Option<&Staub>,
+) -> BoundedAttempt<'p> {
+    let t0 = Instant::now();
+    let (transformed, t_trans) = match translation {
+        Translation::Planned(planned, t) => (planned.as_ref().ok().map(Cow::Borrowed), t),
+        Translation::At {
+            bounds,
+            width,
+            widths,
+            limits,
+        } => {
+            let tf = stage(pipeline, "stage.transform", || match widths {
+                Some(widths) => transform_with_widths(script, bounds, width, limits, widths),
+                None => transform(script, bounds, width, limits),
+            });
+            (tf.ok().map(Cow::Owned), t0.elapsed())
         }
-        Ok(portfolio::race_with(self, script, engine))
+    };
+    let mut attempt = BoundedAttempt {
+        transformed,
+        result: None,
+        model: None,
+        report: None,
+        t_trans,
+        t_post: Duration::ZERO,
+        t_check: Duration::ZERO,
+        stats: SolverStats::default(),
+    };
+    let Some(tf) = attempt.transformed.as_deref() else {
+        return attempt;
+    };
+    if !gate(pipeline, "transform", || {
+        check::check_transformed(script, tf)
+    }) {
+        return attempt;
+    }
+    let t1 = Instant::now();
+    let (result, stats) = stage(pipeline, "stage.solve", || match engine {
+        Some(e) if staub_solver::is_bit_blastable(&tf.script) => e.check(&tf.script, budget),
+        _ => {
+            let outcome = Solver::new(profile).solve_with_budget(&tf.script, budget);
+            (outcome.result, outcome.stats)
+        }
+    });
+    attempt.t_post = t1.elapsed();
+    if let Some(staub) = pipeline {
+        staub.metrics.record_solver("solver.bounded", &stats);
+    }
+    attempt.stats = stats;
+    if let SatResult::Sat(bounded_model) = &result {
+        if gate(pipeline, "solve", || {
+            check::check_model(&tf.script, bounded_model)
+        }) {
+            let t2 = Instant::now();
+            let (model, report) = stage(pipeline, "stage.verify", || {
+                lift_and_verify_report(script, tf, bounded_model)
+            });
+            attempt.t_check = t2.elapsed();
+            if let Some(staub) = pipeline {
+                let event = if model.is_some() {
+                    "pipeline.verified"
+                } else {
+                    "pipeline.verify_failed"
+                };
+                staub.metrics.incr(event, 1);
+            }
+            attempt.model = model;
+            attempt.report = Some(report);
+        }
+    }
+    attempt.result = Some(result);
+    attempt
+}
+
+/// Runs `f`, timed as `name` in the pipeline's metrics when there is one.
+fn stage<T>(pipeline: Option<&Staub>, name: &str, f: impl FnOnce() -> T) -> T {
+    match pipeline {
+        Some(staub) => staub.metrics.time(name, f),
+        None => f(),
     }
 }
 
-/// A verified bounded-path win: the lifted model plus the width multiplier
-/// (relative to the configured base) that produced it.
-pub(crate) struct BoundedWin {
-    pub(crate) model: Model,
-    pub(crate) multiplier: u32,
+/// Whether the attempt may go on past `stage_name`: always, unless a
+/// pipeline with active checks finds the `lint` report unclean.
+///
+/// # Panics
+///
+/// Under [`CheckLevel::Debug`], panics on error-severity findings —
+/// invariant violations are pipeline bugs and debug builds fail loudly.
+fn gate(pipeline: Option<&Staub>, stage_name: &str, lint: impl FnOnce() -> LintReport) -> bool {
+    let Some(staub) = pipeline.filter(|s| s.config.check.active()) else {
+        return true;
+    };
+    let report = staub.metrics.time("stage.lint", lint);
+    if report.is_clean() {
+        return true;
+    }
+    if staub.config.check == CheckLevel::Debug {
+        panic!("staub-lint: `{stage_name}` output violates pipeline invariants:\n{report}");
+    }
+    false
 }
 
 #[cfg(test)]
@@ -540,71 +587,6 @@ mod tests {
             StaubOutcome::Sat { via, .. } => assert_eq!(via, Via::Original),
             other => panic!("expected sat via original, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn refinement_never_loses_answers() {
-        // With refinement enabled, every answer the unrefined bounded path
-        // finds must still be found (round 0 is the unrefined attempt).
-        let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 256))").unwrap();
-        let no_refine = Staub::new(StaubConfig {
-            width_choice: WidthChoice::Fixed(10),
-            refinement_rounds: 0,
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        let with_refine = Staub::new(StaubConfig {
-            width_choice: WidthChoice::Fixed(10),
-            refinement_rounds: 3,
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        let base = no_refine.try_bounded_with(
-            &script,
-            &Budget::new(Duration::from_secs(5), 4_000_000),
-            None,
-        );
-        let refined = with_refine.try_bounded_with(
-            &script,
-            &Budget::new(Duration::from_secs(5), 4_000_000),
-            None,
-        );
-        if base.is_some() {
-            assert!(refined.is_some(), "refinement must not lose answers");
-        }
-    }
-
-    #[test]
-    fn refinement_terminates_on_genuine_unsat() {
-        // A bounded `unsat` that persists across doublings: the loop must
-        // stop cleanly and the pipeline must still answer via the original.
-        let script = Script::parse(
-            "(declare-fun x () Int)(assert (>= x 0))(assert (<= x 3))(assert (= (* x x) 7))",
-        )
-        .unwrap();
-        let staub = Staub::new(StaubConfig {
-            refinement_rounds: 4,
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        let budget = Budget::new(Duration::from_secs(5), 4_000_000);
-        assert!(staub.try_bounded_with(&script, &budget, None).is_none());
-        assert!(matches!(
-            staub.run_with(&script, None).unwrap(),
-            StaubOutcome::Unsat { .. }
-        ));
-    }
-
-    #[test]
-    fn race_agrees_with_sequential() {
-        let src = "(declare-fun x () Int)(assert (= (* x x) 121))";
-        let script = Script::parse(src).unwrap();
-        let staub = Staub::new(StaubConfig {
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        let raced = staub.race_with(&script, None).unwrap();
-        assert!(matches!(raced, StaubOutcome::Sat { .. }));
     }
 
     #[test]

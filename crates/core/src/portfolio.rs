@@ -1,24 +1,23 @@
-//! Portfolio execution (paper §4.4 / §5.1).
+//! Portfolio measurement (paper §4.4 / §5.1).
 //!
 //! The paper's methodology runs STAUB and the baseline solver on two cores
 //! and takes the first sound answer, so no constraint is ever slowed down.
-//! This module provides both:
-//!
-//! * [`race`] — a real two-thread race (scoped threads), used by
-//!   [`crate::Session::race`];
-//! * [`measure`] — a *sequential* run of both paths that records every
-//!   timing component (`T_pre`, `T_trans`, `T_post`, `T_check`) and derives
-//!   the portfolio-effective time. The evaluation harness uses this variant
-//!   because racing threads perturb each other's timings.
+//! The race itself is the batch scheduler's ([`crate::sched`]). This
+//! module holds its report shape, [`PortfolioReport`], and [`measure`]: a
+//! *sequential* run of both paths that records every timing component
+//! (`T_pre`, `T_trans`, `T_post`, `T_check`) and derives the
+//! portfolio-effective time. The evaluation harness uses it because
+//! racing threads perturb each other's timings.
 
 use std::time::{Duration, Instant};
 
 use staub_smtlib::Script;
 #[cfg(test)]
 use staub_solver::UnknownReason;
-use staub_solver::{Budget, BvSession, CancelFlag, SatResult, Solver};
+use staub_solver::{Budget, SatResult, Solver};
 
-use crate::pipeline::{Provenance, Staub, StaubOutcome, Via};
+use crate::absint;
+use crate::pipeline::{bounded_attempt, Staub, Translation};
 
 /// Which path won the portfolio race.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,18 +103,21 @@ impl PortfolioReport {
 pub fn measure(staub: &Staub, script: &Script) -> PortfolioReport {
     let config = staub.config();
 
-    // Leg 1: the STAUB pipeline as one lane-shaped bounded attempt — the
-    // same primitive the batch scheduler (`crate::sched`) executes, so the
+    // Leg 1: inference, then the one bounded attempt every bounded lane of
+    // the batch scheduler (`crate::sched`) runs, on a fresh solver — so the
     // sequential and scheduled paths measure identical code.
     let budget = Budget::new(config.timeout, config.steps);
-    let attempt = crate::sched::bounded_attempt(
-        script,
-        config.width_choice,
-        &config.limits,
-        config.profile,
-        &budget,
-    );
-    let (t_trans, t_post, t_check) = (attempt.t_trans, attempt.t_post, attempt.t_check);
+    let t0 = Instant::now();
+    let bounds = absint::infer(script);
+    let t_infer = t0.elapsed();
+    let translation = Translation::At {
+        bounds: &bounds,
+        width: config.width_choice,
+        widths: None,
+        limits: &config.limits,
+    };
+    let attempt = bounded_attempt(script, translation, None, config.profile, &budget, None);
+    let (t_trans, t_post, t_check) = (t_infer + attempt.t_trans, attempt.t_post, attempt.t_check);
     let verified = attempt.model.is_some();
     let bounded_result = attempt.result;
 
@@ -145,86 +147,6 @@ pub fn measure(staub: &Staub, script: &Script) -> PortfolioReport {
         bounded_result,
         winner,
     }
-}
-
-/// Two-thread race: first sound answer wins and *cancels the other leg*.
-/// A bounded `sat` must verify before it may win; a bounded `unsat` never
-/// wins (§4.4 case 1).
-pub fn race(staub: &Staub, script: &Script) -> StaubOutcome {
-    race_with(staub, script, None)
-}
-
-/// [`race`] with an optional warm [`BvSession`] for the STAUB leg — the
-/// engine rides along on the arbitrage thread, so repeated races through
-/// one [`crate::Session`] reuse learned clauses and the variable map.
-pub(crate) fn race_with(
-    staub: &Staub,
-    script: &Script,
-    engine: Option<&mut BvSession>,
-) -> StaubOutcome {
-    let config = staub.config();
-    let cancel_staub = CancelFlag::new();
-    let cancel_baseline = CancelFlag::new();
-    std::thread::scope(|scope| {
-        let staub_leg = {
-            let cancel_staub = cancel_staub.clone();
-            let cancel_baseline = cancel_baseline.clone();
-            scope.spawn(move || {
-                let budget = Budget::with_cancel(config.timeout, config.steps, cancel_staub);
-                let win = staub.try_bounded_with(script, &budget, engine);
-                if win.is_some() {
-                    // Verified answer in hand: stop the baseline.
-                    cancel_baseline.cancel();
-                }
-                (win, budget.steps_used())
-            })
-        };
-        let baseline_leg = {
-            let cancel_staub = cancel_staub.clone();
-            let cancel_baseline = cancel_baseline.clone();
-            scope.spawn(move || {
-                let solver = Solver::new(config.profile);
-                let budget = Budget::with_cancel(config.timeout, config.steps, cancel_baseline);
-                let result = solver.solve_with_budget(script, &budget).result;
-                if !result.is_unknown() {
-                    // Definite answer: stop the arbitrage leg.
-                    cancel_staub.cancel();
-                }
-                (result, budget.steps_used())
-            })
-        };
-        let (bounded, staub_steps) = staub_leg.join().expect("staub leg does not panic");
-        let (baseline, baseline_steps) = baseline_leg.join().expect("baseline leg does not panic");
-        match (bounded, baseline) {
-            (Some(win), SatResult::Unknown(_)) | (Some(win), SatResult::Sat(_)) => {
-                StaubOutcome::Sat {
-                    model: win.model,
-                    via: Via::Bounded,
-                    provenance: Provenance::bounded(config.profile, win.multiplier, staub_steps),
-                }
-            }
-            (None, SatResult::Sat(model)) => StaubOutcome::Sat {
-                model,
-                via: Via::Original,
-                provenance: Provenance::original(config.profile, baseline_steps),
-            },
-            (Some(win), SatResult::Unsat) => {
-                // A verified model contradicts a baseline `unsat`; trust the
-                // exact verification (the model *does* satisfy the script).
-                StaubOutcome::Sat {
-                    model: win.model,
-                    via: Via::Bounded,
-                    provenance: Provenance::bounded(config.profile, win.multiplier, staub_steps),
-                }
-            }
-            (None, SatResult::Unsat) => StaubOutcome::Unsat {
-                provenance: Provenance::original(config.profile, baseline_steps),
-            },
-            (None, SatResult::Unknown(_)) => StaubOutcome::Unknown {
-                provenance: Provenance::none(staub_steps + baseline_steps),
-            },
-        }
-    })
 }
 
 /// Convenience used in tests: classify a report against ground truth.
@@ -296,30 +218,6 @@ mod tests {
         // (If the host is fast enough that the baseline solves it, the
         // assertion above is vacuous — the report must still be coherent.)
         assert!(consistent_with(&report, Some(true)));
-    }
-
-    #[test]
-    fn race_returns_sound_answers() {
-        for (src, expect_sat) in [
-            ("(declare-fun x () Int)(assert (= (* x x) 64))", true),
-            (
-                "(declare-fun x () Int)(assert (>= x 0))(assert (<= x 2))(assert (= (* x x) 3))",
-                false,
-            ),
-        ] {
-            let script = Script::parse(src).unwrap();
-            match race(&staub(), &script) {
-                StaubOutcome::Sat { provenance, .. } => {
-                    assert!(expect_sat, "{src}");
-                    assert_ne!(provenance.label, "none", "{src}");
-                }
-                StaubOutcome::Unsat { provenance } => {
-                    assert!(!expect_sat, "{src}");
-                    assert_eq!(provenance.multiplier, 0, "{src}");
-                }
-                StaubOutcome::Unknown { .. } => {}
-            }
-        }
     }
 
     #[test]

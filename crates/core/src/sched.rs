@@ -1,22 +1,27 @@
 //! Multi-lane batch portfolio scheduler.
 //!
-//! [`crate::portfolio::race`] races exactly two legs on one constraint.
-//! This module generalises that to a *batch* of constraints, each fanned
-//! out into K lanes — the baseline solver plus STAUB at the base
+//! The paper races STAUB against the baseline solver on two cores (§4.4,
+//! §5.1). This module runs that race for a *batch* of constraints. Each
+//! constraint is analyzed once — bound inference, the base-width
+//! transform, the bound certificate and difference-logic detection — and
+//! fanned out into K lanes: the baseline solver plus STAUB at the base
 //! (inferred or fixed) width and at escalated 2×/4× widths, optionally
-//! under several solver profiles — executed on a fixed pool of
-//! work-stealing worker threads. The first *sound* lane answer decides the
-//! constraint and cancels its sibling lanes through a shared
-//! [`CancelFlag`] carried by every lane [`Budget`]. Engines see it at their
-//! next budget step, and the bit-blaster at its next gate, so a losing lane
-//! stops within microseconds rather than at a wall-clock timeout.
+//! under several solver profiles, executed on a fixed pool of
+//! work-stealing worker threads. Every bounded lane runs the crate's one
+//! bounded attempt (translate, solve, lift and verify); the analysis
+//! hands the base rung its planned transform. The first *sound* lane
+//! answer decides the constraint and cancels its sibling lanes through a
+//! shared [`CancelFlag`] carried by every lane [`Budget`]. Engines see it
+//! at their next budget step, and the bit-blaster at its next gate, so a
+//! losing lane stops within microseconds rather than at a wall-clock
+//! timeout.
 //!
 //! Soundness mirrors the paper's §4.4 case analysis:
 //!
 //! * a baseline verdict (`sat` or `unsat` on the *original* constraint) is
 //!   always sound;
-//! * a bounded `sat` is sound only after [`lift_and_verify`] re-evaluates
-//!   the model against the original constraint exactly;
+//! * a bounded `sat` is sound only after [`crate::verify::lift_and_verify`]
+//!   re-evaluates the model against the original constraint exactly;
 //! * a bounded `unsat` from an ordinary STAUB lane is **never** sound — the
 //!   width may simply have been too small. That case is what the escalated
 //!   lanes are for (UppSAT-style precision ladders / Bromberger-style bound
@@ -34,6 +39,9 @@
 //! — the unsat core's overflow guards on a bounded `unsat`, the failed
 //! assertions' and saturated variables on an unverified bounded `sat`
 //! (UppSAT-style refinement with Bromberger-style per-variable budgets).
+//! These two — the warm escalation ladder, in which a profile's bounded
+//! lanes run in ascending width on one shared engine, and the refine lane
+//! — are the only places STAUB widens and retries.
 //! Every rung is recorded as a [`RefineRung`] in the lane outcome and the
 //! JSONL report, so a refined verdict's provenance names exactly which
 //! variables earned their extra bits. When the evidence names nothing the
@@ -56,15 +64,13 @@ use staub_solver::{
     SolverStats, Stn, StnStatus, UnknownReason,
 };
 
-use crate::absint;
-use crate::check::CheckLevel;
+use crate::absint::{self, BoundCertificate, DlSystem, InferredBounds};
 use crate::correspond::SortLimits;
 use crate::metrics::Metrics;
-use crate::pipeline::{Provenance, StaubConfig, WidthChoice};
+use crate::pipeline::{bounded_attempt, Provenance, Translation, WidthChoice};
 use crate::portfolio::{PortfolioReport, Winner};
-use crate::session::Session;
-use crate::transform::{transform, transform_with_widths, Transformed, WidthMap};
-use crate::verify::{lift_and_verify, lift_and_verify_report, saturated_vars, verify_model};
+use crate::transform::{transform, TransformError, Transformed, WidthMap};
+use crate::verify::{saturated_vars, verify_model};
 
 // ---------------------------------------------------------------------------
 // Configuration and lane taxonomy
@@ -607,20 +613,14 @@ impl BatchReport {
                     if k > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    for c in name.chars() {
-                        match c {
-                            '"' => out.push_str("\\\""),
-                            '\\' => out.push_str("\\\\"),
-                            c => out.push(c),
-                        }
-                    }
-                    out.push('"');
+                    push_json_string(&mut out, name);
                 }
                 out.push_str(&format!(
-                    "],\"max_width\":{},\"total_bits\":{},\"steps\":{},\"verdict\":\"{}\"}}",
-                    rung.max_width, rung.total_bits, rung.steps, rung.verdict
+                    "],\"max_width\":{},\"total_bits\":{},\"steps\":{},",
+                    rung.max_width, rung.total_bits, rung.steps
                 ));
+                push_json_str(&mut out, "verdict", rung.verdict);
+                out.push('}');
             }
             out.push_str("]}");
         }
@@ -629,10 +629,18 @@ impl BatchReport {
     }
 }
 
+/// Appends `"key":"value"`, both escaped by [`push_json_string`].
 fn push_json_str(out: &mut String, key: &str, value: &str) {
+    push_json_string(out, key);
+    out.push(':');
+    push_json_string(out, value);
+}
+
+/// Appends `value` as a JSON string literal. Every string in a report line
+/// goes through here, so a quoted SMT-LIB symbol holding a quote,
+/// backslash or control character still yields valid JSON.
+fn push_json_string(out: &mut String, value: &str) {
     out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
     for c in value.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -647,25 +655,96 @@ fn push_json_str(out: &mut String, key: &str, value: &str) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane planning
+// Analysis and lane planning
 // ---------------------------------------------------------------------------
 
-/// Resolves the width the base STAUB lane would translate at (bitvector
-/// width, or floating-point significand width for real constraints).
-fn resolve_base_width(script: &Script, config: &BatchConfig) -> Option<u32> {
-    let bounds = absint::infer(script);
-    let tf = transform(script, &bounds, config.width_choice, &config.limits).ok()?;
-    tf.bv_width.or(tf.fp_format.map(|(_, sb)| sb))
+/// One constraint's analysis, made once when its lanes are planned: bound
+/// inference, the transform at the base width, the bound certificate and
+/// difference-logic detection. Planning, every lane, complete-lane
+/// promotion and the report's fragment and unknown reason all read it.
+/// Only the `L4xx`/`L5xx` lints re-derive anything from the script: that
+/// independence is what makes a promoted `unsat` sound.
+struct Analysis {
+    bounds: InferredBounds,
+    /// Inference time, counted into every bounded lane's `t_trans`.
+    t_infer: Duration,
+    /// The width choice `base` was translated at.
+    choice: WidthChoice,
+    /// The transform at the base width, which the base rung solves.
+    base: Result<Transformed, TransformError>,
+    t_base: Duration,
+    certificate: BoundCertificate,
+    /// The difference-logic system, when the lane is enabled and the
+    /// detector matches.
+    dl: Option<DlSystem>,
+    t_dl: Duration,
 }
 
-/// The certified complete-lane width for a script, when one exists within
-/// the width limits: the script must be pure LIA and its certified width
-/// must fit the bitvector limit. Public so other surfaces (the CLI's
-/// unknown-reason report) apply the *same* eligibility test the planner
-/// does — a certificate wider than the lane limit is not lane-eligible.
-pub fn complete_width(script: &Script, limits: &SortLimits) -> Option<u32> {
-    let cert = absint::certify(script);
-    cert.certified_width.filter(|&w| w <= limits.max_bv_width)
+impl Analysis {
+    fn of(script: &Script, config: &BatchConfig) -> Analysis {
+        let t0 = Instant::now();
+        let bounds = absint::infer(script);
+        let t_infer = t0.elapsed();
+        let t1 = Instant::now();
+        let base = transform(script, &bounds, config.width_choice, &config.limits);
+        let t_base = t1.elapsed();
+        let certificate = absint::certify(script);
+        let t2 = Instant::now();
+        let dl = if config.dl {
+            absint::difference_logic(script)
+        } else {
+            None
+        };
+        Analysis {
+            bounds,
+            t_infer,
+            choice: config.width_choice,
+            base,
+            t_base,
+            certificate,
+            dl,
+            t_dl: t2.elapsed(),
+        }
+    }
+
+    /// The width the base rung translates at (bitvector width, or
+    /// floating-point significand width for real constraints).
+    fn base_width(&self) -> Option<u32> {
+        let tf = self.base.as_ref().ok()?;
+        tf.bv_width.or(tf.fp_format.map(|(_, sb)| sb))
+    }
+
+    /// What a bounded rung at `width` (with per-variable `widths`) solves:
+    /// the planned base transform when that is what it asks for, otherwise
+    /// a fresh translation over the planned bounds.
+    fn translation<'s: 'w, 'w>(
+        &'s self,
+        width: WidthChoice,
+        widths: Option<&'w WidthMap>,
+        limits: &'w SortLimits,
+    ) -> Translation<'s, 'w> {
+        if width == self.choice && widths.is_none_or(WidthMap::is_empty) {
+            Translation::Planned(&self.base, self.t_base)
+        } else {
+            Translation::At {
+                bounds: &self.bounds,
+                width,
+                widths,
+                limits,
+            }
+        }
+    }
+}
+
+/// The complete-lane width a bound certificate allows: the script must be
+/// pure LIA and its certified width must fit the bitvector limit. Public
+/// so other surfaces (the CLI's unknown-reason report) apply the *same*
+/// eligibility test the planner does — a certificate wider than the lane
+/// limit is not lane-eligible.
+pub fn complete_width(certificate: &BoundCertificate, limits: &SortLimits) -> Option<u32> {
+    certificate
+        .certified_width
+        .filter(|&w| w <= limits.max_bv_width)
 }
 
 /// Plans the lane fan-out for one constraint: per profile, an optional
@@ -675,14 +754,17 @@ pub fn complete_width(script: &Script, limits: &SortLimits) -> Option<u32> {
 /// Under [`BatchConfig::refine`] the base-plus-escalations fan-out is
 /// replaced by a single counterexample-guided refine lane per profile.
 pub fn plan_lanes(script: &Script, config: &BatchConfig) -> Vec<LaneSpec> {
+    plan(&Analysis::of(script, config), config)
+}
+
+fn plan(analysis: &Analysis, config: &BatchConfig) -> Vec<LaneSpec> {
     let mut lanes = Vec::new();
-    let base_width = resolve_base_width(script, config);
-    let certified = complete_width(script, &config.limits);
+    let certified = complete_width(&analysis.certificate, &config.limits);
     // First in plan order: the difference-logic lane is the cheapest
     // complete procedure, so when the fragment matches it should decide
     // the constraint before any bounded lane finishes transforming. One
     // lane total — the STN has no profile-dependent heuristics.
-    if config.dl && absint::difference_logic(script).is_some() {
+    if analysis.dl.is_some() {
         if let Some(&profile) = config.profiles.first() {
             lanes.push(LaneSpec {
                 kind: LaneKind::DiffLogic,
@@ -713,7 +795,7 @@ pub fn plan_lanes(script: &Script, config: &BatchConfig) -> Vec<LaneSpec> {
                 },
                 profile,
             });
-            if let Some(w0) = base_width {
+            if let Some(w0) = analysis.base_width() {
                 let mut seen = vec![w0];
                 for &m in &config.escalations {
                     let w = w0.saturating_mul(m);
@@ -746,145 +828,41 @@ pub fn plan_lanes(script: &Script, config: &BatchConfig) -> Vec<LaneSpec> {
 // Lane execution
 // ---------------------------------------------------------------------------
 
-/// Timing-resolved result of one bounded (STAUB) attempt. Shared between
-/// the scheduler lanes and [`crate::portfolio::measure`], so the
-/// sequential and scheduled paths measure the same pipeline.
-pub(crate) struct BoundedAttempt {
-    /// Solve result of the bounded constraint; `None` when no bounded
-    /// counterpart exists at this width.
-    pub result: Option<SatResult>,
-    /// The lifted model, iff it verified exactly against the original.
-    pub model: Option<Model>,
-    /// Inference + translation time.
-    pub t_trans: Duration,
-    /// Bounded solving time.
-    pub t_post: Duration,
-    /// Verification time.
-    pub t_check: Duration,
-    /// Solver-internal counters from the bounded solve.
-    pub stats: SolverStats,
-}
-
-/// Runs one bounded attempt: infer, transform at `width`, solve under
-/// `budget`, lift and verify.
-pub(crate) fn bounded_attempt(
-    script: &Script,
-    width: WidthChoice,
-    limits: &SortLimits,
-    profile: SolverProfile,
-    budget: &Budget,
-) -> BoundedAttempt {
-    bounded_attempt_with(script, width, limits, profile, budget, None)
-}
-
-/// [`bounded_attempt`] with an optional warm [`BvSession`]: when the
-/// transformed script is pure boolean/bitvector the solve runs through the
-/// persistent engine (variable map, gate cache, learned clauses, phases);
-/// otherwise a fresh solver is spawned exactly as the cold path does.
-pub(crate) fn bounded_attempt_with(
-    script: &Script,
-    width: WidthChoice,
-    limits: &SortLimits,
-    profile: SolverProfile,
-    budget: &Budget,
-    engine: Option<&mut BvSession>,
-) -> BoundedAttempt {
-    let t0 = Instant::now();
-    let bounds = absint::infer(script);
-    let transformed = transform(script, &bounds, width, limits);
-    let t_trans = t0.elapsed();
-    match transformed {
-        Err(_) => BoundedAttempt {
-            result: None,
-            model: None,
-            t_trans,
-            t_post: Duration::ZERO,
-            t_check: Duration::ZERO,
-            stats: SolverStats::default(),
-        },
-        Ok(tf) => {
-            let t1 = Instant::now();
-            let (result, stats) = match engine {
-                Some(e) if staub_solver::is_bit_blastable(&tf.script) => {
-                    e.check(&tf.script, budget)
-                }
-                _ => {
-                    let outcome = Solver::new(profile).solve_with_budget(&tf.script, budget);
-                    (outcome.result, outcome.stats)
-                }
-            };
-            let t_post = t1.elapsed();
-            let t2 = Instant::now();
-            let model = match &result {
-                SatResult::Sat(m) => lift_and_verify(script, &tf, m),
-                _ => None,
-            };
-            BoundedAttempt {
-                result: Some(result),
-                model,
-                t_trans,
-                t_post,
-                t_check: t2.elapsed(),
-                stats,
-            }
-        }
-    }
-}
-
 fn out_of_steps(result: &SatResult, budget: &Budget) -> bool {
     matches!(result, SatResult::Unknown(UnknownReason::BudgetExhausted)) && !budget.is_cancelled()
 }
 
 /// Decides whether a complete lane's bounded `unsat` at `used_width` may
-/// be promoted to a trusted `unsat`: the certificate is re-derived from
-/// the original script and must pass every `L4xx` lint — fragment class,
-/// ledger, certified width, per-variable coverage, and `used_width ≥`
-/// certified width — before the promotion is allowed. This runs
-/// unconditionally (not just under `StaubConfig::check`): the promotion is
-/// a soundness claim, so it is never taken on an unchecked certificate.
-fn certificate_promotes(script: &Script, used_width: u32) -> bool {
-    let cert = absint::certify(script);
+/// be promoted to a trusted `unsat`: the planned certificate must pass
+/// every `L4xx` lint, which re-derive fragment class, ledger, certified
+/// width and per-variable coverage from the original script and check
+/// `used_width ≥` certified width. This runs unconditionally (not just
+/// under `StaubConfig::check`): the promotion is a soundness claim, so it
+/// is never taken on an unchecked certificate.
+fn certificate_promotes(script: &Script, cert: &BoundCertificate, used_width: u32) -> bool {
     match cert.certified_width {
         Some(c) if used_width >= c => {
-            crate::check::check_certificate(script, &cert, Some(used_width)).is_clean()
+            crate::check::check_certificate(script, cert, Some(used_width)).is_clean()
         }
         _ => false,
     }
 }
 
-/// Executes the difference-logic lane: re-run the detector, assert every
-/// normalized edge into a fresh incremental STN under the lane budget, and
+/// Executes the difference-logic lane: assert every normalized edge of the
+/// planned system into a fresh incremental STN under the lane budget, and
 /// either read a model off the feasible potential (re-verified exactly, as
 /// every STAUB `sat` is) or promote the extracted negative cycle to a
 /// trusted `unsat`. The promotion mirrors [`certificate_promotes`]: it is
 /// a soundness claim, so the independent `L5xx` lints re-check the cycle
 /// unconditionally — not just under `StaubConfig::check`.
-fn run_dl_lane(
-    script: &Script,
-    spec: &LaneSpec,
-    cancel: &CancelFlag,
-    config: &BatchConfig,
-) -> LaneOutcome {
+fn run_dl_lane(cell: &Cell<'_>, spec: &LaneSpec, config: &BatchConfig) -> LaneOutcome {
+    let (script, cancel) = (cell.script, &cell.cancel);
     let start = Instant::now();
-    let t0 = Instant::now();
-    let sys = absint::difference_logic(script);
-    let t_trans = t0.elapsed();
-    let Some(sys) = sys else {
-        return LaneOutcome {
-            spec: spec.clone(),
-            verdict: LaneVerdict::NotApplicable,
-            model: None,
-            elapsed: start.elapsed(),
-            steps_used: 0,
-            retried: false,
-            cancel_latency: None,
-            t_trans,
-            t_post: Duration::ZERO,
-            t_check: Duration::ZERO,
-            stats: SolverStats::default(),
-            rungs: Vec::new(),
-        };
-    };
+    let sys = cell
+        .analysis
+        .dl
+        .as_ref()
+        .expect("the DL lane is planned only for a detected system");
 
     let budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
     let t1 = Instant::now();
@@ -968,7 +946,7 @@ fn run_dl_lane(
         elapsed: start.elapsed(),
         steps_used: budget.steps_used(),
         retried: false,
-        t_trans,
+        t_trans: cell.analysis.t_dl,
         t_post,
         t_check,
         stats,
@@ -976,28 +954,18 @@ fn run_dl_lane(
     }
 }
 
-/// Executes one lane to completion (or cancellation), with a fresh solver.
+/// Executes one lane to completion (or cancellation). Bounded lanes solve
+/// on `engine` when one is given (a ladder's shared engine) and on a fresh
+/// solver otherwise; a refine lane always owns its engine, because its
+/// width map must drive the blast.
 fn run_lane(
-    script: &Script,
+    cell: &Cell<'_>,
     spec: &LaneSpec,
-    cancel: &CancelFlag,
     config: &BatchConfig,
+    mut engine: Option<&mut BvSession>,
     metrics: &Metrics,
 ) -> LaneOutcome {
-    run_lane_with(script, spec, cancel, config, None, metrics)
-}
-
-/// [`run_lane`] with an optional warm [`Session`] for STAUB lanes — the
-/// escalation-ladder path. Baseline and refine lanes ignore the session
-/// (a refine lane owns its engine: its width map must drive the blast).
-fn run_lane_with(
-    script: &Script,
-    spec: &LaneSpec,
-    cancel: &CancelFlag,
-    config: &BatchConfig,
-    mut session: Option<&mut Session>,
-    metrics: &Metrics,
-) -> LaneOutcome {
+    let (script, cancel) = (cell.script, &cell.cancel);
     let start = Instant::now();
     let mut retried = false;
     let mut steps_used = 0u64;
@@ -1041,11 +1009,11 @@ fn run_lane_with(
             }
         }
         LaneKind::Refine { width, depth } => {
-            run_refine_lane(script, spec, *width, *depth, cancel, config, metrics)
+            run_refine_lane(cell, spec, *width, *depth, config, metrics)
         }
-        LaneKind::DiffLogic => run_dl_lane(script, spec, cancel, config),
+        LaneKind::DiffLogic => run_dl_lane(cell, spec, config),
         kind @ (LaneKind::Staub { .. } | LaneKind::Complete { .. }) => {
-            // A complete lane is the same bounded pipeline pinned to the
+            // A complete lane is the same bounded attempt pinned to the
             // certified width; only its unsat handling differs below.
             let (width, promote_at) = match kind {
                 LaneKind::Staub { width, .. } => (*width, None),
@@ -1054,11 +1022,20 @@ fn run_lane_with(
                     unreachable!("handled above")
                 }
             };
-            let mut budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-            let mut attempt = match session.as_deref_mut() {
-                Some(s) => s.bounded_attempt_at(script, width, &budget),
-                None => bounded_attempt(script, width, &config.limits, spec.profile, &budget),
+            let analysis = &cell.analysis;
+            let mut attempt_under = |budget: &Budget| {
+                let translation = analysis.translation(width, None, &config.limits);
+                bounded_attempt(
+                    script,
+                    translation,
+                    engine.as_deref_mut(),
+                    spec.profile,
+                    budget,
+                    None,
+                )
             };
+            let mut budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
+            let mut attempt = attempt_under(&budget);
             steps_used += budget.steps_used();
             stats.merge(&attempt.stats);
             let needs_retry = attempt
@@ -1068,10 +1045,7 @@ fn run_lane_with(
             if config.retry && needs_retry {
                 retried = true;
                 budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-                attempt = match session {
-                    Some(s) => s.bounded_attempt_at(script, width, &budget),
-                    None => bounded_attempt(script, width, &config.limits, spec.profile, &budget),
-                };
+                attempt = attempt_under(&budget);
                 steps_used += budget.steps_used();
                 stats.merge(&attempt.stats);
             }
@@ -1082,7 +1056,9 @@ fn run_lane_with(
                 // complete lane whose certificate survives the independent
                 // L4xx re-derivation at the width actually used.
                 (Some(SatResult::Unsat), _) => match promote_at {
-                    Some(w) if certificate_promotes(script, w) => LaneVerdict::Unsat,
+                    Some(w) if certificate_promotes(script, &analysis.certificate, w) => {
+                        LaneVerdict::Unsat
+                    }
                     _ => LaneVerdict::BoundedUnsat,
                 },
                 (Some(SatResult::Unknown(_)), _) if cancel.is_cancelled() => LaneVerdict::Cancelled,
@@ -1100,7 +1076,7 @@ fn run_lane_with(
                 elapsed: start.elapsed(),
                 steps_used,
                 retried,
-                t_trans: attempt.t_trans,
+                t_trans: analysis.t_infer + attempt.t_trans,
                 t_post: attempt.t_post,
                 t_check: attempt.t_check,
                 stats,
@@ -1179,10 +1155,11 @@ fn widen_suspects(
 }
 
 /// Executes a [`LaneKind::Refine`] lane: a warm per-variable refinement
-/// ladder. Each rung transforms with the accumulated [`WidthMap`], solves
-/// through a persistent [`BvSession`] (so widened rungs reuse the low-bit
-/// encoding and learned clauses), and on an inconclusive verdict widens
-/// only the implicated variables:
+/// ladder. Each rung is one bounded attempt with the accumulated
+/// [`WidthMap`] (rung 0 solves the planned base transform), solved through
+/// a persistent [`BvSession`] (so widened rungs reuse the low-bit encoding
+/// and learned clauses), and on an inconclusive verdict widens only the
+/// implicated variables:
 ///
 /// * bounded `unsat` → the unsat core's assertions (overflow guards
 ///   first); a core-free unsat widens everything (global fallback);
@@ -1196,14 +1173,14 @@ fn widen_suspects(
 /// at the depth cap. Rung-by-rung provenance is recorded in
 /// [`LaneOutcome::rungs`] and the `refine.*` metrics.
 fn run_refine_lane(
-    script: &Script,
+    cell: &Cell<'_>,
     spec: &LaneSpec,
     base: WidthChoice,
     depth_cap: u32,
-    cancel: &CancelFlag,
     config: &BatchConfig,
     metrics: &Metrics,
 ) -> LaneOutcome {
+    let (script, analysis, cancel) = (cell.script, &cell.analysis, &cell.cancel);
     let start = Instant::now();
     let mut engine = BvSession::new(spec.profile.sat_config());
     let mut widths = WidthMap::new();
@@ -1213,7 +1190,7 @@ fn run_refine_lane(
     let mut model: Option<Model> = None;
     let mut steps_used = 0u64;
     let mut stats = SolverStats::default();
-    let mut t_trans = Duration::ZERO;
+    let mut t_trans = analysis.t_infer;
     let mut t_post = Duration::ZERO;
     let mut t_check = Duration::ZERO;
     let mut last_widths: Vec<(String, u32)> = Vec::new();
@@ -1223,31 +1200,35 @@ fn run_refine_lane(
     // one doubling clears any domain-boundary artifact the core's
     // variables could have.
     let mut prev_guard_free: Option<Vec<String>> = None;
-    let bounds = absint::infer(script);
     for depth in 0..=depth_cap {
         if cancel.is_cancelled() {
             verdict = LaneVerdict::Cancelled;
             break;
         }
-        let t0 = Instant::now();
-        let transformed = transform_with_widths(script, &bounds, choice, &config.limits, &widths);
-        t_trans += t0.elapsed();
-        let tf = match transformed {
-            Ok(tf) => tf,
-            Err(_) => {
-                // A narrow fixed base can fail outright (e.g. a constant
-                // too wide for it). Retrying at double the base is the
-                // global-doubling fallback; an inferred base already picked
-                // the widest usable width, so there is nothing to retry.
-                match choice {
-                    WidthChoice::Fixed(w) if w.saturating_mul(2) <= config.limits.max_bv_width => {
-                        choice = WidthChoice::Fixed(w.saturating_mul(2));
-                        continue;
-                    }
-                    _ => {
-                        verdict = LaneVerdict::NotApplicable;
-                        break;
-                    }
+        let budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
+        let translation = analysis.translation(choice, Some(&widths), &config.limits);
+        let attempt = bounded_attempt(
+            script,
+            translation,
+            Some(&mut engine),
+            spec.profile,
+            &budget,
+            None,
+        );
+        t_trans += attempt.t_trans;
+        let Some(tf) = attempt.transformed.as_deref() else {
+            // A narrow fixed base can fail outright (e.g. a constant too
+            // wide for it). Retrying at double the base is the
+            // global-doubling fallback; an inferred base already picked
+            // the widest usable width, so there is nothing to retry.
+            match choice {
+                WidthChoice::Fixed(w) if w.saturating_mul(2) <= config.limits.max_bv_width => {
+                    choice = WidthChoice::Fixed(w.saturating_mul(2));
+                    continue;
+                }
+                _ => {
+                    verdict = LaneVerdict::NotApplicable;
+                    break;
                 }
             }
         };
@@ -1257,19 +1238,11 @@ fn run_refine_lane(
             .unwrap_or(0);
         let total_bits: u64 = tf.var_widths.iter().map(|&(_, w)| u64::from(w)).sum();
         last_widths.clone_from(&tf.var_widths);
-        let budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-        let t1 = Instant::now();
-        let blastable = staub_solver::is_bit_blastable(&tf.script);
-        let (result, rung_stats) = if blastable {
-            engine.check(&tf.script, &budget)
-        } else {
-            let outcome = Solver::new(spec.profile).solve_with_budget(&tf.script, &budget);
-            (outcome.result, outcome.stats)
-        };
-        t_post += t1.elapsed();
+        t_post += attempt.t_post;
+        t_check += attempt.t_check;
         let rung_steps = budget.steps_used();
         steps_used += rung_steps;
-        stats.merge(&rung_stats);
+        stats.merge(&attempt.stats);
         let mut rung = RefineRung {
             depth,
             widened: Vec::new(),
@@ -1278,12 +1251,9 @@ fn run_refine_lane(
             steps: rung_steps,
             verdict: "unknown",
         };
-        match result {
-            SatResult::Sat(bounded_model) => {
-                let t2 = Instant::now();
-                let (lifted, report) = lift_and_verify_report(script, &tf, &bounded_model);
-                t_check += t2.elapsed();
-                if let Some(m) = lifted {
+        match &attempt.result {
+            Some(SatResult::Sat(bounded_model)) => {
+                if let Some(m) = attempt.model {
                     rung.verdict = "sat-verified";
                     rungs.push(rung);
                     verdict = LaneVerdict::SatVerified;
@@ -1294,32 +1264,31 @@ fn run_refine_lane(
                 // original constraint, so some variable's bounded value is
                 // an artifact of its width.
                 rung.verdict = "unverified-sat";
-                let mut suspects = report.suspect_vars;
-                for name in saturated_vars(&tf, &bounded_model) {
+                let mut suspects = attempt.report.map(|r| r.suspect_vars).unwrap_or_default();
+                for name in saturated_vars(tf, bounded_model) {
                     if !suspects.contains(&name) {
                         suspects.push(name);
                     }
                 }
                 rung.widened =
-                    widen_suspects(&tf, &suspects, &mut widths, config.limits.max_bv_width);
+                    widen_suspects(tf, &suspects, &mut widths, config.limits.max_bv_width);
                 let stuck = rung.widened.is_empty();
                 rungs.push(rung);
+                verdict = LaneVerdict::Unknown;
                 if stuck {
-                    verdict = LaneVerdict::Unknown;
                     break;
                 }
-                verdict = LaneVerdict::Unknown;
             }
-            SatResult::Unsat => {
+            Some(SatResult::Unsat) => {
                 rung.verdict = "bounded-unsat";
                 verdict = LaneVerdict::BoundedUnsat;
-                let core: &[usize] = if blastable {
+                let core: &[usize] = if staub_solver::is_bit_blastable(&tf.script) {
                     engine.last_unsat_core()
                 } else {
                     &[]
                 };
                 let guard_free = !core.is_empty() && core.iter().all(|&i| i >= tf.guard_count);
-                let suspects = core_suspects(&tf, core);
+                let suspects = core_suspects(tf, core);
                 if guard_free {
                     let mut vars = suspects.clone();
                     vars.sort_unstable();
@@ -1335,14 +1304,14 @@ fn run_refine_lane(
                     prev_guard_free = None;
                 }
                 rung.widened =
-                    widen_suspects(&tf, &suspects, &mut widths, config.limits.max_bv_width);
+                    widen_suspects(tf, &suspects, &mut widths, config.limits.max_bv_width);
                 let stuck = rung.widened.is_empty();
                 rungs.push(rung);
                 if stuck {
                     break;
                 }
             }
-            SatResult::Unknown(_) => {
+            _ => {
                 if cancel.is_cancelled() {
                     rung.verdict = "cancelled";
                     verdict = LaneVerdict::Cancelled;
@@ -1388,9 +1357,8 @@ fn run_refine_lane(
 // ---------------------------------------------------------------------------
 
 /// One unit of scheduling: a *group* of lane indices of one cell. Most
-/// groups are singletons (independently racing lanes); under
-/// [`RunOptions::warm`], a cell's STAUB lanes of one profile form a single
-/// sequential escalation ladder sharing a warm [`Session`].
+/// groups are singletons (independently racing lanes); a profile's
+/// bounded lanes form one warm escalation ladder when there are several.
 #[derive(Debug, Clone, Copy)]
 struct Job {
     cell: usize,
@@ -1405,9 +1373,12 @@ struct CellState {
     finished_at: Option<Instant>,
 }
 
-/// Per-constraint shared state: lane plan, sibling cancel flag, results.
+/// Per-constraint shared state: analysis, lane plan, sibling cancel flag,
+/// results.
 struct Cell<'a> {
-    item: &'a BatchItem,
+    name: &'a str,
+    script: &'a Script,
+    analysis: Analysis,
     specs: Vec<LaneSpec>,
     /// Lane indices grouped into schedulable jobs (see [`Job`]).
     groups: Vec<Vec<usize>>,
@@ -1416,15 +1387,14 @@ struct Cell<'a> {
     state: Mutex<CellState>,
 }
 
-/// Groups a cell's lanes into schedulable jobs. Cold runs (and baseline
-/// lanes always) get singleton groups — the historical racing behavior.
-/// Warm runs collapse each profile's STAUB lanes (plan order = ascending
-/// width) into one ladder group when there is more than one.
-fn plan_groups(specs: &[LaneSpec], warm: bool) -> Vec<Vec<usize>> {
+/// Groups a cell's lanes into schedulable jobs. Baseline and DL lanes get
+/// singleton groups and race; each profile's bounded lanes (plan order =
+/// ascending width) form one ladder group.
+fn plan_groups(specs: &[LaneSpec]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut ladder_of_profile: Vec<(SolverProfile, usize)> = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
-        if !warm || !spec.is_staub() {
+        if !spec.is_staub() {
             groups.push(vec![i]);
             continue;
         }
@@ -1441,28 +1411,11 @@ fn plan_groups(specs: &[LaneSpec], warm: bool) -> Vec<Vec<usize>> {
 
 /// Options for the canonical scheduler entrypoints ([`run_batch_with`],
 /// [`run_one_with`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Metrics registry recording `sched.*` / `solver.*` events; `None`
     /// disables observation (zero overhead beyond one branch per event).
     pub metrics: Option<Arc<Metrics>>,
-    /// Warm-start escalation ladders: run each profile's STAUB lanes as
-    /// one sequential ladder (ascending widths) sharing a persistent
-    /// [`Session`], instead of racing fresh-solver lanes. The ladder stops
-    /// at the first sound answer, marking unreached rungs `cancelled`.
-    /// Defaults to `true`; verdicts are unaffected (only wasted re-solving
-    /// is), because warm checks are sound for exactly the reasons cold
-    /// ones are — assertion roots are per-check assumptions.
-    pub warm: bool,
-}
-
-impl Default for RunOptions {
-    fn default() -> RunOptions {
-        RunOptions {
-            metrics: None,
-            warm: true,
-        }
-    }
 }
 
 /// Runs every constraint through its lane fan-out on a fixed worker pool
@@ -1472,10 +1425,34 @@ impl Default for RunOptions {
 /// (`sched.lane_started` / `sched.lane_skipped` / `sched.lane_cancelled` /
 /// `sched.lane_won`), cancel latency and lane wall-clock histograms,
 /// per-label win counters (`sched.wins.<label>`), deterministic steps,
-/// per-label solver counters (`solver.<label>.<field>`), and — for warm
-/// runs — ladder events (`sched.ladder_jobs` / `sched.warm_rungs`).
+/// per-label solver counters (`solver.<label>.<field>`), and ladder
+/// events (`sched.ladder_jobs` / `sched.warm_rungs`).
 pub fn run_batch_with(
     items: &[BatchItem],
+    config: &BatchConfig,
+    options: &RunOptions,
+) -> Vec<BatchReport> {
+    let cells = items.iter().map(|item| (item.name.as_str(), &item.script));
+    run_cells(cells, config, options)
+}
+
+/// [`run_batch_with`] for a single constraint: plan, run, report — the
+/// entry point the `staub serve` request path uses, so long-running
+/// servers accumulate the same `sched.*` / `solver.*` counters batch runs
+/// report.
+pub fn run_one_with(
+    name: &str,
+    script: &Script,
+    config: &BatchConfig,
+    options: &RunOptions,
+) -> BatchReport {
+    run_cells(std::iter::once((name, script)), config, options)
+        .pop()
+        .expect("one item in, one report out")
+}
+
+fn run_cells<'a>(
+    items: impl Iterator<Item = (&'a str, &'a Script)>,
     config: &BatchConfig,
     options: &RunOptions,
 ) -> Vec<BatchReport> {
@@ -1487,26 +1464,18 @@ pub fn run_batch_with(
             &disabled
         }
     };
-    run_batch_impl(items, config, metrics, options.warm)
-}
-
-fn run_batch_impl(
-    items: &[BatchItem],
-    config: &BatchConfig,
-    metrics: &Metrics,
-    warm: bool,
-) -> Vec<BatchReport> {
     let workers = config.worker_count().max(1);
     metrics.gauge_set("sched.workers", workers as i64);
-    metrics.incr("sched.constraints", items.len() as u64);
     let cells: Vec<Cell<'_>> = items
-        .iter()
-        .map(|item| {
-            let specs = plan_lanes(&item.script, config);
+        .map(|(name, script)| {
+            let analysis = Analysis::of(script, config);
+            let specs = plan(&analysis, config);
             let lanes = specs.len();
-            let groups = plan_groups(&specs, warm);
+            let groups = plan_groups(&specs);
             Cell {
-                item,
+                name,
+                script,
+                analysis,
                 specs,
                 groups,
                 cancel: CancelFlag::new(),
@@ -1521,6 +1490,7 @@ fn run_batch_impl(
             }
         })
         .collect();
+    metrics.incr("sched.constraints", cells.len() as u64);
 
     // Seed the per-worker deques round-robin by job, so a constraint's
     // sibling jobs start on distinct workers and race for the first sound
@@ -1568,7 +1538,7 @@ fn run_batch_impl(
                 },
                 None => BatchVerdict::Unknown,
             };
-            let fragment = absint::certify(&cell.item.script).fragment.name();
+            let fragment = cell.analysis.certificate.fragment.name();
             let unknown_reason = match verdict {
                 BatchVerdict::Unknown => {
                     // Was the constraint within a complete lane's reach? If
@@ -1590,7 +1560,7 @@ fn run_batch_impl(
                 _ => None,
             };
             BatchReport {
-                name: cell.item.name.clone(),
+                name: cell.name.to_string(),
                 verdict,
                 winner: state.winner,
                 lanes,
@@ -1603,25 +1573,6 @@ fn run_batch_impl(
             }
         })
         .collect()
-}
-
-/// [`run_batch_with`] for a single constraint: plan, run, report — the
-/// entry point the `staub serve` request path uses, so long-running
-/// servers accumulate the same `sched.*` / `solver.*` counters batch runs
-/// report.
-pub fn run_one_with(
-    name: &str,
-    script: &Script,
-    config: &BatchConfig,
-    options: &RunOptions,
-) -> BatchReport {
-    let items = [BatchItem {
-        name: name.to_string(),
-        script: script.clone(),
-    }];
-    run_batch_with(&items, config, options)
-        .pop()
-        .expect("one item in, one report out")
 }
 
 fn worker_loop(
@@ -1656,27 +1607,25 @@ fn execute_job(job: Job, cells: &[Cell<'_>], config: &BatchConfig, metrics: &Met
     let cell = &cells[job.cell];
     let group = &cell.groups[job.group];
     if group.len() == 1 {
+        // A lone lane solves on a fresh solver.
         let lane = group[0];
-        let outcome = run_or_skip(cell, lane, config, metrics);
+        let spec = &cell.specs[lane];
+        let outcome = if config.cancel_losers && cell.cancel.is_cancelled() {
+            metrics.incr("sched.lane_skipped", 1);
+            LaneOutcome::skipped(spec, &cell.cancel)
+        } else {
+            metrics.incr("sched.lane_started", 1);
+            run_lane(cell, spec, config, None, metrics)
+        };
         submit(cell, lane, outcome, config, metrics);
         return;
     }
-    // An escalation ladder: this profile's STAUB lanes run sequentially
-    // (ascending width, plan order) through one warm session, so each rung
+    // An escalation ladder: this profile's bounded lanes run sequentially
+    // (ascending width, plan order) on one warm engine, so each rung
     // re-uses the previous rung's low-bit encoding, learned clauses,
     // phases, and activities. The ladder stops at the first sound rung.
     metrics.incr("sched.ladder_jobs", 1);
-    let profile = cell.specs[group[0]].profile;
-    let mut session = Session::new(StaubConfig {
-        width_choice: config.width_choice,
-        limits: config.limits,
-        profile,
-        timeout: config.timeout,
-        steps: config.steps,
-        refinement_rounds: 0,
-        check: CheckLevel::default(),
-        var_widths: WidthMap::new(),
-    });
+    let mut engine = BvSession::new(cell.specs[group[0]].profile.sat_config());
     let mut answered = false;
     for &lane in group {
         let spec = &cell.specs[lane];
@@ -1687,37 +1636,12 @@ fn execute_job(job: Job, cells: &[Cell<'_>], config: &BatchConfig, metrics: &Met
         } else {
             metrics.incr("sched.lane_started", 1);
             metrics.incr("sched.warm_rungs", 1);
-            run_lane_with(
-                &cell.item.script,
-                spec,
-                &cell.cancel,
-                config,
-                Some(&mut session),
-                metrics,
-            )
+            run_lane(cell, spec, config, Some(&mut engine), metrics)
         };
         if outcome.verdict.is_sound() {
             answered = true;
         }
         submit(cell, lane, outcome, config, metrics);
-    }
-}
-
-/// Runs one lane unless its constraint is already decided (sibling
-/// cancellation), with a fresh solver.
-fn run_or_skip(
-    cell: &Cell<'_>,
-    lane: usize,
-    config: &BatchConfig,
-    metrics: &Metrics,
-) -> LaneOutcome {
-    let spec = &cell.specs[lane];
-    if config.cancel_losers && cell.cancel.is_cancelled() {
-        metrics.incr("sched.lane_skipped", 1);
-        LaneOutcome::skipped(spec, &cell.cancel)
-    } else {
-        metrics.incr("sched.lane_started", 1);
-        run_lane(&cell.item.script, spec, &cell.cancel, config, metrics)
     }
 }
 
@@ -1803,7 +1727,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_ladder_escalates_and_agrees_with_cold() {
+    fn warm_ladder_escalates() {
         // x² − y² = 239 (prime): the only non-negative witness is
         // x = 120, y = 119, whose squares overflow 9-bit signed guards —
         // bounded-unsat at the base width, verified sat at the ×2 rung.
@@ -1818,25 +1742,15 @@ mod tests {
             cancel_losers: false,
             ..quick_config()
         };
-        let cold = run_batch_with(
-            &items,
-            &config,
-            &RunOptions {
-                metrics: None,
-                warm: false,
-            },
-        );
         let metrics = Arc::new(Metrics::new());
         let warm = run_batch_with(
             &items,
             &config,
             &RunOptions {
                 metrics: Some(Arc::clone(&metrics)),
-                warm: true,
             },
         );
         assert_eq!(warm[0].verdict.name(), "sat");
-        assert_eq!(cold[0].verdict.name(), warm[0].verdict.name());
         let p = warm[0].provenance().expect("warm run has a winner");
         assert!(p.multiplier > 1, "escalated rung answers: {p:?}");
         assert!(p.steps > 0);
@@ -1848,6 +1762,31 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.counters["sched.ladder_jobs"], 1);
         assert_eq!(snap.counters["sched.warm_rungs"], 2);
+    }
+
+    #[test]
+    fn base_rung_reports_the_planned_transform_time() {
+        // The base rung solves the planned transform instead of redoing
+        // it, and reports the planned inference and translation time as
+        // its own `t_trans`; so does the refine lane's rung 0.
+        let items = [item(
+            "sq49",
+            "(declare-fun x () Int)(assert (= (* x x) 49))",
+        )];
+        for refine in [false, true] {
+            let config = BatchConfig {
+                threads: 1,
+                include_baseline: false,
+                cancel_losers: false,
+                refine,
+                ..quick_config()
+            };
+            let report = &run_batch_with(&items, &config, &RunOptions::default())[0];
+            let base = &report.lanes[0];
+            assert!(base.spec.is_staub(), "{}", base.spec.label());
+            assert_eq!(base.verdict, LaneVerdict::SatVerified);
+            assert!(base.t_trans > Duration::ZERO, "{}", base.spec.label());
+        }
     }
 
     #[test]
@@ -1893,7 +1832,6 @@ mod tests {
             &refine_config,
             &RunOptions {
                 metrics: Some(Arc::clone(&metrics)),
-                warm: true,
             },
         );
         assert_eq!(refined[0].verdict.name(), "sat");
@@ -2215,7 +2153,6 @@ mod tests {
             &quick_config(),
             &RunOptions {
                 metrics: Some(Arc::clone(&metrics)),
-                warm: true,
             },
         );
         let snap = metrics.snapshot();

@@ -15,14 +15,11 @@
 //! * the simplex tableau across added rows (for the arithmetic lanes of
 //!   future checks that share structure).
 //!
-//! Widening a bitvector variable from `w` to `2w` bits reuses the low `w`
-//! SAT variables (two's-complement low bits agree across widths for every
-//! value representable at `w`), so [`Session::widen_and_recheck`] pays only
-//! for the extension bits — this is what makes warm escalation ladders
-//! cheaper than cold ones. [`Session::widen_vars_and_recheck`] sharpens
-//! that further: it widens only *named* variables (a [`WidthMap`] request
-//! per variable, sign-extended to the node width at use sites), the
-//! primitive behind the scheduler's counterexample-guided refine lane.
+//! Every check is one bounded attempt at the configured width, then the
+//! original constraint; a session never widens. Widening is the batch
+//! scheduler's job ([`crate::sched`]): its warm escalation ladder and its
+//! refine lane share one engine across rungs the same way a session shares
+//! one across checks.
 //!
 //! # Incremental scripting
 //!
@@ -49,8 +46,7 @@ use staub_smtlib::{Model, ParseError, Script};
 use staub_solver::{Budget, BvSession};
 
 use crate::metrics::Metrics;
-use crate::pipeline::{Provenance, Staub, StaubConfig, StaubError, StaubOutcome, Via, WidthChoice};
-use crate::transform::WidthMap;
+use crate::pipeline::{Staub, StaubConfig, StaubError, StaubOutcome};
 
 /// An incremental solving session: pipeline configuration, assertion
 /// stack, and a warm solver engine shared by every check.
@@ -64,10 +60,6 @@ pub struct Session {
     frames: Vec<Vec<String>>,
     /// Parse cache for the current combined source.
     cached: Option<(String, Script)>,
-    /// Width multiplier of the most recent check (1 = base width).
-    multiplier: u32,
-    /// Accumulated per-variable width requests (selective widening).
-    widths: WidthMap,
 }
 
 impl Default for Session {
@@ -85,8 +77,6 @@ impl Session {
             engine,
             frames: vec![Vec::new()],
             cached: None,
-            multiplier: 1,
-            widths: WidthMap::new(),
         }
     }
 
@@ -110,17 +100,6 @@ impl Session {
     /// useful for warm-start diagnostics).
     pub fn engine(&self) -> &BvSession {
         &self.engine
-    }
-
-    /// The width multiplier of the most recent check (1 = base width).
-    pub fn width_multiplier(&self) -> u32 {
-        self.multiplier
-    }
-
-    /// Per-variable width requests accumulated by
-    /// [`Session::widen_vars_and_recheck`] (empty = uniform widths).
-    pub fn var_widths(&self) -> &WidthMap {
-        &self.widths
     }
 
     // -- assertion stack ---------------------------------------------------
@@ -209,91 +188,12 @@ impl Session {
     ///
     /// Returns [`StaubError::EmptyScript`] when no assertions are active.
     pub fn check(&mut self) -> Result<StaubOutcome, StaubError> {
-        self.check_scaled(1)
-    }
-
-    /// Doubles the translation width and re-checks the current assertion
-    /// stack, reusing the low-bit encoding of every bitvector variable
-    /// from previous checks (only the extension bits are re-blasted).
-    ///
-    /// When the constraint has no bounded counterpart (so there is no
-    /// width to widen), this behaves like [`Session::check`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaubError::EmptyScript`] when no assertions are active.
-    pub fn widen_and_recheck(&mut self) -> Result<StaubOutcome, StaubError> {
-        let next = self.multiplier.saturating_mul(2).max(2);
-        self.check_scaled(next)
-    }
-
-    /// Doubles the translation width of the *named* variables only and
-    /// re-checks the current assertion stack. Unnamed variables keep their
-    /// current width and are sign-extended at use sites, so the refinement
-    /// pays (and re-blasts) only for the variables a counterexample or
-    /// unsat core actually blamed. Widths are clamped to
-    /// `limits.max_bv_width` and accumulate monotonically across calls
-    /// (see [`Session::var_widths`]).
-    ///
-    /// When the constraint has no bounded counterpart, this behaves like
-    /// [`Session::check`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaubError::EmptyScript`] when no assertions are active.
-    pub fn widen_vars_and_recheck(&mut self, vars: &[&str]) -> Result<StaubOutcome, StaubError> {
         self.ensure_parsed();
         let (_, script) = self.cached.as_ref().expect("ensure_parsed populated cache");
-        let max = self.staub.config().limits.max_bv_width;
-        let scaled = scale_width(&self.staub, script, self.multiplier, &self.widths);
-        let staub = scaled.as_ref().unwrap_or(&self.staub);
-        // The transform reports each variable's current encoded width; when
-        // it fails outright (e.g. a constant too wide for a narrow fixed
-        // base), fall back to the accumulated request or the fixed base —
-        // the next transform clamps whatever we request anyway.
-        let transformed = staub.transform(script).ok();
-        let fixed_base = match staub.config().width_choice {
-            WidthChoice::Fixed(w) => Some(w),
-            _ => None,
-        };
-        for v in vars {
-            let current = transformed
-                .as_ref()
-                .and_then(|tf| tf.var_widths.iter().find(|(n, _)| n == v).map(|&(_, w)| w))
-                .or_else(|| self.widths.get(v))
-                .or(fixed_base);
-            if let Some(cur) = current {
-                self.widths.widen(v, cur.saturating_mul(2).min(max));
-            }
-        }
-        self.check_scaled(self.multiplier)
+        self.staub.run_with(script, Some(&mut self.engine))
     }
 
-    fn check_scaled(&mut self, multiplier: u32) -> Result<StaubOutcome, StaubError> {
-        self.ensure_parsed();
-        self.multiplier = multiplier;
-        let (_, script) = self.cached.as_ref().expect("ensure_parsed populated cache");
-        let profile = self.staub.config().profile;
-        let scaled = scale_width(&self.staub, script, multiplier, &self.widths);
-        let staub = scaled.as_ref().unwrap_or(&self.staub);
-        let mut outcome = staub.run_with(script, Some(&mut self.engine))?;
-        if multiplier > 1 {
-            if let StaubOutcome::Sat {
-                via: Via::Bounded,
-                provenance,
-                ..
-            } = &mut outcome
-            {
-                // `run_with` reports the multiplier relative to *its* base
-                // width; compose it with the session's escalation factor.
-                let total = provenance.multiplier.saturating_mul(multiplier);
-                *provenance = Provenance::bounded(profile, total, provenance.steps);
-            }
-        }
-        Ok(outcome)
-    }
-
-    // -- one-shot entrypoints (re-homed from `Staub`) ----------------------
+    // -- one-shot entrypoints ----------------------------------------------
 
     /// Runs the full pipeline on `script` (bounded path, then the original
     /// constraint), warm-starting the bounded solve from previous calls.
@@ -303,52 +203,15 @@ impl Session {
     ///
     /// Returns [`StaubError::EmptyScript`] for scripts without assertions.
     pub fn run(&mut self, script: &Script) -> Result<StaubOutcome, StaubError> {
-        self.multiplier = 1;
         self.staub.run_with(script, Some(&mut self.engine))
-    }
-
-    /// Runs the two-core portfolio race on `script` (baseline thread vs
-    /// warm STAUB thread), as in the paper's measurement methodology
-    /// (§5.1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaubError::EmptyScript`] for scripts without assertions.
-    pub fn race(&mut self, script: &Script) -> Result<StaubOutcome, StaubError> {
-        self.multiplier = 1;
-        self.staub.race_with(script, Some(&mut self.engine))
     }
 
     /// Attempts the bounded path only on `script`: transform, warm solve,
     /// verify. Returns `Some(model)` iff a bounded constraint is
     /// satisfiable *and* its model verifies against the original.
     pub fn try_bounded(&mut self, script: &Script, budget: &Budget) -> Option<Model> {
-        self.multiplier = 1;
         self.staub
             .try_bounded_with(script, budget, Some(&mut self.engine))
-            .map(|w| w.model)
-    }
-
-    /// One lane-shaped bounded attempt at an explicit width, through the
-    /// warm engine — the primitive the batch scheduler's escalation
-    /// ladders execute.
-    pub(crate) fn bounded_attempt_at(
-        &mut self,
-        script: &Script,
-        width: WidthChoice,
-        budget: &Budget,
-    ) -> crate::sched::BoundedAttempt {
-        let config = self.staub.config();
-        let limits = config.limits;
-        let profile = config.profile;
-        crate::sched::bounded_attempt_with(
-            script,
-            width,
-            &limits,
-            profile,
-            budget,
-            Some(&mut self.engine),
-        )
     }
 }
 
@@ -362,36 +225,6 @@ fn combine(frames: &[Vec<String>]) -> String {
         }
     }
     out
-}
-
-/// When the session has accumulated an escalation (`multiplier > 1`) or
-/// per-variable width requests, a pipeline clone carrying them: the
-/// multiplier pins `multiplier ×` the base translation width, and the
-/// width map is layered over whatever choice results.
-fn scale_width(
-    staub: &Staub,
-    script: &Script,
-    multiplier: u32,
-    widths: &WidthMap,
-) -> Option<Staub> {
-    if multiplier <= 1 && widths.is_empty() {
-        return None;
-    }
-    let config = staub.config();
-    let mut width_choice = config.width_choice;
-    if multiplier > 1 {
-        let transformed = staub.transform(script).ok()?;
-        let base = transformed
-            .bv_width
-            .or(transformed.fp_format.map(|(_, sb)| sb))?;
-        width_choice = WidthChoice::Fixed(base.saturating_mul(multiplier));
-    }
-    let scaled = Staub::new(StaubConfig {
-        width_choice,
-        var_widths: widths.clone(),
-        ..config.clone()
-    });
-    Some(scaled.with_metrics(Arc::clone(staub.metrics())))
 }
 
 #[cfg(test)]
@@ -476,74 +309,5 @@ mod tests {
             assert_eq!(warm.verdict_name(), cold.verdict_name(), "{src}");
         }
         assert_eq!(session.engine().checks(), 3);
-    }
-
-    #[test]
-    fn widen_and_recheck_reports_composed_multiplier() {
-        let mut session = Session::new(StaubConfig {
-            width_choice: WidthChoice::Fixed(8),
-            ..config()
-        });
-        session
-            .assert_text("(declare-fun x () Int)(assert (= (* x x) 49))")
-            .unwrap();
-        match session.check().unwrap() {
-            StaubOutcome::Sat { provenance, .. } => {
-                assert_eq!(provenance.multiplier, 1);
-                assert_eq!(provenance.label, "staub/x1/zed");
-            }
-            other => panic!("expected sat, got {other:?}"),
-        }
-        let hits_before = session.engine().gate_cache_hits();
-        match session.widen_and_recheck().unwrap() {
-            StaubOutcome::Sat { provenance, .. } => {
-                assert_eq!(provenance.multiplier, 2);
-                assert_eq!(provenance.label, "staub/x2/zed");
-            }
-            other => panic!("expected sat, got {other:?}"),
-        }
-        assert_eq!(session.width_multiplier(), 2);
-        // Widening re-used the low-bit encoding from the first check.
-        assert!(
-            session.engine().gate_cache_hits() > hits_before,
-            "widened check must hit the warm gate cache"
-        );
-    }
-
-    #[test]
-    fn widen_named_var_and_recheck_is_selective() {
-        // `big` needs 15 bits (103² = 10609); `small` fits anywhere. At an
-        // 8-bit base the bounded path cannot represent the square, but
-        // doubling *only* `big` to 16 bits makes it bounded-verifiable.
-        let mut session = Session::new(StaubConfig {
-            width_choice: WidthChoice::Fixed(8),
-            ..config()
-        });
-        session
-            .assert_text(
-                "(declare-fun big () Int)(declare-fun small () Int)\
-                 (assert (>= small 0))(assert (<= small 3))\
-                 (assert (>= big 0))(assert (= (* big big) 10609))",
-            )
-            .unwrap();
-        let outcome = session.widen_vars_and_recheck(&["big"]).unwrap();
-        let big = session
-            .script()
-            .and_then(|s| s.store().symbol("big"))
-            .unwrap();
-        match outcome {
-            StaubOutcome::Sat { model, .. } => {
-                use staub_numeric::BigInt;
-                use staub_smtlib::Value;
-                assert_eq!(model.get(big), Some(&Value::Int(BigInt::from(103))));
-            }
-            other => panic!("expected sat, got {other:?}"),
-        }
-        // Only the named variable was widened, and the request sticks.
-        assert_eq!(session.var_widths().get("big"), Some(16));
-        assert_eq!(session.var_widths().get("small"), None);
-        // A second round doubles from the *current* (widened) width.
-        session.widen_vars_and_recheck(&["big"]).unwrap();
-        assert_eq!(session.var_widths().get("big"), Some(32));
     }
 }

@@ -810,7 +810,6 @@ fn solve_one(inner: &Arc<Inner>, v: u32, req: &SolveRequest) -> String {
         let name = req.id.clone().unwrap_or_else(|| "request".to_string());
         let options = RunOptions {
             metrics: Some(Arc::clone(&inner.metrics)),
-            ..RunOptions::default()
         };
         let report = inner.metrics.time("serve.solve", || {
             run_one_with(&name, &script, &batch, &options)

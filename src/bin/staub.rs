@@ -19,9 +19,12 @@
 //!   --width <N>        fixed bitvector width instead of inference
 //!   --profile <P>      solver profile: zed (default) or cove
 //!   --timeout-ms <N>   per-solver-call wall-clock budget (default 1000)
-//!   --refine <N>       iterative width refinement rounds (default 0)
+//!   --refine <N>       race the baseline against the per-variable refine
+//!                      lane, at most N widening rungs (as `batch
+//!                      --refine-depth N`)
 //!   --reduce           width-reduce an already-bounded QF_BV input (§6.4)
-//!   --race             run the two-core portfolio race (default: sequential)
+//!   --race             race the baseline against the bounded lanes (as
+//!                      `batch` on one file; default: sequential)
 //!   --stats            print inference and timing details
 //! ```
 //!
@@ -49,7 +52,12 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use staub::core::{Session, Staub, StaubConfig, StaubOutcome, Via, WidthChoice};
+use std::fmt::Write as _;
+
+use staub::core::{
+    run_one_with, BatchConfig, BatchVerdict, Provenance, RunOptions, Session, Staub, StaubConfig,
+    StaubError, StaubOutcome, Via, WidthChoice,
+};
 use staub::smtlib::Script;
 use staub::solver::SolverProfile;
 
@@ -61,7 +69,8 @@ struct Options {
     timeout: Duration,
     race: bool,
     stats: bool,
-    refine: u32,
+    /// Refine-lane depth, when `--refine` was given.
+    refine: Option<u32>,
     reduce: bool,
 }
 
@@ -76,7 +85,7 @@ fn parse_args() -> Result<Options, String> {
         timeout: Duration::from_millis(1000),
         race: false,
         stats: false,
-        refine: 0,
+        refine: None,
         reduce: false,
     };
     while let Some(arg) = args.next() {
@@ -99,11 +108,12 @@ fn parse_args() -> Result<Options, String> {
                 other => return Err(format!("unknown profile {other:?}")),
             },
             "--refine" => {
-                options.refine = args
+                let depth = args
                     .next()
                     .ok_or("--refine needs a value")?
                     .parse::<u32>()
-                    .map_err(|e| format!("invalid refinement rounds: {e}"))?;
+                    .map_err(|e| format!("invalid refinement depth: {e}"))?;
+                options.refine = Some(depth);
             }
             "--timeout-ms" => {
                 let ms = args
@@ -180,10 +190,7 @@ fn stats_main(args: Vec<String>) -> ExitCode {
                 };
                 timeout = Duration::from_millis(ms);
             }
-            "--help" | "-h" => {
-                println!("{STATS_USAGE}");
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => return emit(&format_args!("{STATS_USAGE}\n")),
             other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
             other => {
                 eprintln!("error: unexpected argument `{other}`\n{STATS_USAGE}");
@@ -217,13 +224,17 @@ fn stats_main(args: Vec<String>) -> ExitCode {
         ..Default::default()
     })
     .with_metrics(Arc::clone(&metrics));
+    let mut out = String::new();
     match session.run(&script) {
         Ok(outcome) => {
-            println!("{}", outcome.verdict_name());
             let p = outcome.provenance();
-            println!(
-                "; lane {} (x{}) in {} steps",
-                p.label, p.multiplier, p.steps
+            let _ = writeln!(
+                out,
+                "{}\n; lane {} (x{}) in {} steps",
+                outcome.verdict_name(),
+                p.label,
+                p.multiplier,
+                p.steps
             );
             if outcome.verdict_name() == "unknown" {
                 // Distinguish a recoverable unknown (more budget could
@@ -237,7 +248,7 @@ fn stats_main(args: Vec<String>) -> ExitCode {
                         .to_string()
                 } else {
                     match (
-                        staub::core::complete_width(&script, &limits),
+                        staub::core::complete_width(&cert, &limits),
                         cert.certified_width,
                     ) {
                         (Some(_), _) => {
@@ -254,7 +265,7 @@ fn stats_main(args: Vec<String>) -> ExitCode {
                         }
                     }
                 };
-                println!("; unknown reason: {reason}");
+                let _ = writeln!(out, "; unknown reason: {reason}");
             }
         }
         Err(e) => {
@@ -262,8 +273,8 @@ fn stats_main(args: Vec<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    print!("{}", metrics.snapshot());
-    ExitCode::SUCCESS
+    let _ = write!(out, "{}", metrics.snapshot());
+    emit(&out)
 }
 
 const BATCH_USAGE: &str = "usage: staub batch [BATCH OPTIONS] <dir|file.smt2>...
@@ -293,7 +304,7 @@ BATCH OPTIONS:
 
 /// `staub batch`: the multi-lane scheduler over a corpus of files.
 fn batch_main(args: Vec<String>) -> ExitCode {
-    use staub::core::{run_batch_with, BatchConfig, BatchItem, Metrics, RunOptions};
+    use staub::core::{run_batch_with, BatchItem, Metrics};
     use std::sync::Arc;
 
     let mut config = BatchConfig::default();
@@ -362,10 +373,7 @@ fn batch_main(args: Vec<String>) -> ExitCode {
                 };
                 out_path = Some(path);
             }
-            "--help" | "-h" => {
-                println!("{BATCH_USAGE}");
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => return emit(&format_args!("{BATCH_USAGE}\n")),
             other if !other.starts_with('-') => inputs.push(other.to_string()),
             other => {
                 eprintln!("error: unexpected argument `{other}`\n{BATCH_USAGE}");
@@ -412,7 +420,6 @@ fn batch_main(args: Vec<String>) -> ExitCode {
     });
     let options = RunOptions {
         metrics: Some(Arc::clone(&metrics)),
-        ..Default::default()
     };
     let start = std::time::Instant::now();
     let reports = run_batch_with(&items, &config, &options);
@@ -456,7 +463,10 @@ fn batch_main(args: Vec<String>) -> ExitCode {
             }
         }
     } else {
-        print!("{jsonl}");
+        let written = emit(&jsonl);
+        if written != ExitCode::SUCCESS {
+            return written;
+        }
         if with_stats {
             eprintln!("; stats: {}", metrics.snapshot().to_json());
         }
@@ -1086,8 +1096,9 @@ fn lint_main(args: Vec<String>) -> ExitCode {
         }
     }
 
+    let mut out = String::new();
     for finding in &report.findings {
-        println!("{finding}");
+        let _ = writeln!(out, "{finding}");
     }
     let errors = report.error_count();
     let warnings = report
@@ -1095,11 +1106,12 @@ fn lint_main(args: Vec<String>) -> ExitCode {
         .iter()
         .filter(|f| f.severity == Severity::Warning)
         .count();
-    println!("{file}: {errors} error(s), {warnings} warning(s)");
+    let _ = writeln!(out, "{file}: {errors} error(s), {warnings} warning(s)");
+    let written = emit(&out);
     if errors > 0 {
         ExitCode::FAILURE
     } else {
-        ExitCode::SUCCESS
+        written
     }
 }
 
@@ -1136,8 +1148,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(msg) => {
             if msg == "help" {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
+                return emit(&format_args!("{USAGE}\n"));
             }
             eprintln!("error: {msg}\n{USAGE}");
             return ExitCode::from(2);
@@ -1161,7 +1172,6 @@ fn main() -> ExitCode {
         width_choice: options.width,
         profile: options.profile,
         timeout: options.timeout,
-        refinement_rounds: options.refine,
         ..Default::default()
     };
     let staub = Staub::new(config.clone());
@@ -1197,21 +1207,15 @@ fn main() -> ExitCode {
         let solver = Solver::new(options.profile).with_timeout(options.timeout);
         return match solver.solve(&reduced.script).result {
             SatResult::Sat(narrow) => match bvreduce::lift_and_verify(&script, &reduced, &narrow) {
-                Some(model) => {
-                    println!("sat");
-                    println!("{}", model.to_smtlib(script.store()));
-                    ExitCode::SUCCESS
-                }
+                Some(model) => emit(&format_args!("sat\n{}\n", model.to_smtlib(script.store()))),
                 None => {
-                    println!("unknown");
                     eprintln!("; narrow model did not verify; rerun without --reduce");
-                    ExitCode::SUCCESS
+                    emit(&"unknown\n")
                 }
             },
             _ => {
-                println!("unknown");
                 eprintln!("; narrow constraint gave no verified answer");
-                ExitCode::SUCCESS
+                emit(&"unknown\n")
             }
         };
     }
@@ -1240,19 +1244,17 @@ fn main() -> ExitCode {
     }
 
     let start = std::time::Instant::now();
-    let mut session = Session::new(config);
-    let outcome = if options.race {
-        session.race(&script)
+    let outcome = if options.race || options.refine.is_some() {
+        race(&options, &script)
     } else {
-        session.run(&script)
+        Session::new(config).run(&script)
     };
-    match outcome {
+    let text = match outcome {
         Ok(StaubOutcome::Sat {
             model,
             via,
             provenance,
         }) => {
-            println!("sat");
             if options.stats {
                 eprintln!(
                     "; via {} path (lane {}) in {:?}",
@@ -1265,20 +1267,50 @@ fn main() -> ExitCode {
                     start.elapsed()
                 );
             }
-            println!("{}", model.to_smtlib(script.store()));
-            ExitCode::SUCCESS
+            format!("sat\n{}\n", model.to_smtlib(script.store()))
         }
-        Ok(StaubOutcome::Unsat { .. }) => {
-            println!("unsat");
-            ExitCode::SUCCESS
-        }
-        Ok(StaubOutcome::Unknown { .. }) => {
-            println!("unknown");
-            ExitCode::SUCCESS
-        }
+        Ok(StaubOutcome::Unsat { .. }) => "unsat\n".to_string(),
+        Ok(StaubOutcome::Unknown { .. }) => "unknown\n".to_string(),
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
+    };
+    emit(&text)
+}
+
+/// `--race` and `--refine N`: the batch scheduler's race on one file —
+/// baseline against the bounded lanes (the warm escalation ladder, or the
+/// refine lane at depth N), the first sound answer winning.
+fn race(options: &Options, script: &Script) -> Result<StaubOutcome, StaubError> {
+    if script.assertions().is_empty() {
+        return Err(StaubError::EmptyScript);
     }
+    let defaults = BatchConfig::default();
+    let config = BatchConfig {
+        timeout: options.timeout,
+        width_choice: options.width,
+        profiles: vec![options.profile],
+        refine: options.refine.is_some(),
+        refine_depth: options.refine.unwrap_or(defaults.refine_depth),
+        ..defaults
+    };
+    let report = run_one_with(&options.file, script, &config, &RunOptions::default());
+    let via = if report.winner_lane().is_some_and(|l| l.spec.is_staub()) {
+        Via::Bounded
+    } else {
+        Via::Original
+    };
+    let provenance = report
+        .provenance()
+        .unwrap_or_else(|| Provenance::none(report.lanes.iter().map(|l| l.steps_used).sum()));
+    Ok(match report.verdict {
+        BatchVerdict::Sat(model) => StaubOutcome::Sat {
+            model,
+            via,
+            provenance,
+        },
+        BatchVerdict::Unsat => StaubOutcome::Unsat { provenance },
+        BatchVerdict::Unknown => StaubOutcome::Unknown { provenance },
+    })
 }

@@ -1,6 +1,6 @@
 //! `staub` writing into a pipe whose reader has already gone away
 //! (`staub --emit f | head`, `staub client --help | true`) must exit
-//! cleanly, not panic.
+//! cleanly, not panic — whatever the subcommand.
 
 use std::process::{Command, Stdio};
 
@@ -21,10 +21,29 @@ fn assert_clean_exit(args: &[&str]) {
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
 }
 
+const EXAMPLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/interval.smt2");
+
 #[test]
 fn emit_into_a_closed_pipe_exits_cleanly() {
-    let example = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/interval.smt2");
-    assert_clean_exit(&["--emit", example]);
+    assert_clean_exit(&["--emit", EXAMPLE]);
+}
+
+#[test]
+fn solve_lint_stats_and_batch_into_a_closed_pipe_exit_cleanly() {
+    let invocations: [&[&str]; 9] = [
+        &["--help"],
+        &[EXAMPLE],
+        &["--race", EXAMPLE],
+        &["--refine", "2", EXAMPLE],
+        &["stats", EXAMPLE],
+        &["stats", "--help"],
+        &["lint", EXAMPLE],
+        &["batch", "--help"],
+        &["batch", "--threads", "1", EXAMPLE],
+    ];
+    for args in invocations {
+        assert_clean_exit(args);
+    }
 }
 
 #[test]

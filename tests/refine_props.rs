@@ -9,11 +9,6 @@
 //! its depth cap, per-rung width demand grows strictly, per-variable
 //! widths never exceed `max_bv_width`, and every widened name is a real
 //! script variable.
-//!
-//! A third drives the same refinement through the incremental
-//! [`Session`] surface: push a poisoning constraint, check, pop,
-//! re-assert, and per-variable widening must still land the same verdict
-//! as a session that never detoured.
 
 use std::time::Duration;
 
@@ -21,7 +16,7 @@ use proptest::prelude::*;
 use staub::benchgen::{generate, generate_skewed, Benchmark, SuiteKind};
 use staub::core::{
     run_one_with, BatchConfig, BatchReport, BatchVerdict, LaneKind, RunOptions, Session,
-    StaubConfig, StaubOutcome, WidthChoice,
+    StaubConfig, WidthChoice,
 };
 use staub::smtlib::{evaluate, Value};
 
@@ -167,77 +162,6 @@ proptest! {
                     pair[1].total_bits > pair[0].total_bits,
                     "{}: non-monotone rungs {:?}", bench.name, lane.rungs
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn session_pop_then_reassert_matches_fresh_refinement(seed in 0u64..10_000) {
-        // A skewed sat instance: bounded-unsat at the 9-bit base (the
-        // witness pair overflows its guards), decided after widening only
-        // the hot pair.
-        let Some(bench) = generate_skewed(4, seed)
-            .into_iter()
-            .find(|b| b.expected == Some(true))
-        else {
-            return Ok(());
-        };
-        let config = StaubConfig {
-            timeout: Duration::from_secs(60),
-            steps: STEPS,
-            width_choice: WidthChoice::Fixed(9),
-            ..StaubConfig::default()
-        };
-        let src = bench.script.to_string();
-
-        // Detoured session: poison a frame, check, pop it, then refine.
-        let mut detour = Session::new(config.clone());
-        detour.assert_text(&src).expect("generated script parses");
-        detour.push();
-        detour.assert_text("(assert (< y 0))").expect("poison parses");
-        let poisoned = detour.check().map(|o| o.verdict_name()).unwrap_or("unknown");
-        prop_assert!(
-            poisoned != "sat",
-            "{}: y < 0 contradicts y >= 0 but checked sat", bench.name
-        );
-        prop_assert!(detour.pop(), "poison frame pops");
-
-        // Fresh session: straight to the same per-variable widening.
-        let mut fresh = Session::new(config);
-        fresh.assert_text(&src).expect("generated script parses");
-
-        let widen = ["y", "z"];
-        let detour_verdict = detour
-            .widen_vars_and_recheck(&widen)
-            .map(|o| o.verdict_name())
-            .unwrap_or("unknown");
-        let fresh_verdict = fresh
-            .widen_vars_and_recheck(&widen)
-            .map(|o| o.verdict_name())
-            .unwrap_or("unknown");
-        prop_assert_eq!(
-            detour_verdict,
-            fresh_verdict,
-            "{}: pop-then-re-assert diverges from a fresh session", bench.name
-        );
-        // Only the requested pair carries a width request.
-        for session in [&detour, &fresh] {
-            prop_assert!(session.var_widths().get("y").is_some());
-            prop_assert!(session.var_widths().get("z").is_some());
-            prop_assert!(session.var_widths().get("w0").is_none());
-        }
-        // When the widened check decides sat, the model is exact on the
-        // original assertions.
-        if fresh_verdict == "sat" {
-            if let Ok(StaubOutcome::Sat { model, .. }) = fresh.check() {
-                for &a in bench.script.assertions() {
-                    prop_assert_eq!(
-                        evaluate(bench.script.store(), a, &model).expect("model is total"),
-                        Value::Bool(true),
-                        "{}: widened model must satisfy the original assertion",
-                        bench.name
-                    );
-                }
             }
         }
     }

@@ -8,7 +8,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use staub::benchgen::{generate, SuiteKind};
-use staub::core::{run_batch_with, BatchConfig, BatchItem, RunOptions};
+use staub::core::{run_batch_with, BatchConfig, BatchItem, RunOptions, WidthChoice};
+use staub::service::json::{self, Json};
 use staub::smtlib::{ParseErrorKind, Script};
 use staub::solver::{SatResult, Solver, SolverProfile, SolverStats};
 
@@ -41,10 +42,12 @@ proptest! {
     }
 }
 
-/// Every JSONL record the scheduler emits has a `stats` object with the
-/// stage spans and one entry per lane carrying all twelve solver
-/// counters, and the line is balanced (a cheap well-formedness check
-/// that catches missed commas/braces in the hand-rolled serializer).
+/// Every JSONL record the scheduler emits is one valid JSON object (the
+/// service's parser rejects raw control characters inside strings) with a
+/// `stats` object holding the stage spans and one entry per lane carrying
+/// all twelve solver counters. Besides LIA constraints, the inputs include
+/// a refine lane whose widened variables include a quoted symbol holding a
+/// tab, which the rung records must escape.
 #[test]
 fn batch_jsonl_stats_block_is_well_formed() {
     let items: Vec<BatchItem> = generate(SuiteKind::QfLia, 4, 0xa11)
@@ -61,29 +64,56 @@ fn batch_jsonl_stats_block_is_well_formed() {
         cancel_losers: false,
         ..BatchConfig::default()
     };
-    let reports = run_batch_with(&items, &config, &RunOptions::default());
-    assert_eq!(reports.len(), 4);
+    let mut reports = run_batch_with(&items, &config, &RunOptions::default());
+    // y² − a² = 239 overflows the 9-bit base guards, so the refine lane's
+    // base rung is bounded-unsat and widens both variables.
+    let tabbed = [BatchItem {
+        name: "tabbed".to_string(),
+        script: Script::parse(
+            "(declare-fun y () Int)(declare-fun |a\tb| () Int)
+             (assert (>= y 0))(assert (>= |a\tb| 0))
+             (assert (= (- (* y y) (* |a\tb| |a\tb|)) 239))",
+        )
+        .unwrap(),
+    }];
+    let refine = BatchConfig {
+        threads: 1,
+        timeout: Duration::from_secs(30),
+        width_choice: WidthChoice::Fixed(9),
+        include_baseline: false,
+        refine: true,
+        ..config
+    };
+    let refined = run_batch_with(&tabbed, &refine, &RunOptions::default());
+    assert!(
+        refined[0]
+            .lanes
+            .iter()
+            .flat_map(|l| &l.rungs)
+            .any(|r| r.widened.iter().any(|n| n.contains('\t'))),
+        "the refine lane widens the tabbed symbol: {}",
+        refined[0].to_jsonl()
+    );
+    reports.extend(refined);
+    assert_eq!(reports.len(), 5);
     for report in &reports {
         let line = report.to_jsonl();
+        let record = json::parse(&line).unwrap_or_else(|e| panic!("invalid JSON ({e}): {line}"));
+        assert_eq!(
+            record.get("name").and_then(Json::as_str),
+            Some(report.name.as_str())
+        );
         assert!(
             line.contains("\"stats\":{\"stages\":{\"pre_ms\":"),
             "missing stats block: {line}"
         );
-        assert!(line.contains("\"lanes\":["), "missing lanes array: {line}");
+        assert!(record.get("lanes").is_some(), "missing lanes array: {line}");
         for (name, _) in SolverStats::default().fields() {
             assert!(
                 line.contains(&format!("\"{name}\":")),
                 "missing counter {name}: {line}"
             );
         }
-        let opens = line.matches('{').count();
-        let closes = line.matches('}').count();
-        assert_eq!(opens, closes, "unbalanced braces: {line}");
-        assert_eq!(
-            line.matches('[').count(),
-            line.matches(']').count(),
-            "unbalanced brackets: {line}"
-        );
     }
 }
 
