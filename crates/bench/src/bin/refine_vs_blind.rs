@@ -14,9 +14,9 @@
 //!   the base rung, pinning verdict agreement outside the integer path.
 //!
 //! Both legs run one worker with early-stop. A third, *sequential*
-//! reference leg runs each constraint through a fresh
-//! [`Session`] (bounded path, then the original
-//! constraint) as an independent soundness anchor.
+//! reference leg runs each constraint through [`portfolio::measure`] (the
+//! bounded attempt at the inferred width, then the original constraint) as
+//! an independent soundness anchor.
 //!
 //! Output: `BENCH_refine.json` (path overridable as `argv[1]`) with
 //! per-constraint verdicts, steps, rung counts, and final variable-bit
@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 
 use staub_benchgen::generate_skewed;
 use staub_core::{
-    run_batch_with, BatchConfig, BatchItem, BatchReport, LaneKind, LaneVerdict, RunOptions,
-    Session, StaubConfig, WidthChoice,
+    portfolio, run_batch_with, BatchConfig, BatchItem, BatchReport, LaneKind, LaneVerdict,
+    RunOptions, Staub, StaubConfig, WidthChoice,
 };
 use staub_smtlib::Script;
 
@@ -114,26 +114,17 @@ fn run_leg(items: &[BatchItem], refine: bool) -> Leg {
     }
 }
 
-/// The sequential reference: a fresh warm session per constraint, full
-/// pipeline (bounded path, then the original constraint).
+/// The sequential reference: both portfolio legs one after the other (the
+/// bounded attempt, then the original constraint).
 fn reference_verdicts(items: &[BatchItem]) -> Vec<&'static str> {
+    let staub = Staub::new(StaubConfig {
+        timeout: Duration::from_secs(30),
+        steps: 2_000_000,
+        ..StaubConfig::default()
+    });
     items
         .iter()
-        .map(|item| {
-            let mut session = Session::new(StaubConfig {
-                timeout: Duration::from_secs(30),
-                steps: 2_000_000,
-                ..StaubConfig::default()
-            });
-            match session.run(&item.script) {
-                Ok(outcome) => match outcome.verdict_name() {
-                    "sat" => "sat",
-                    "unsat" => "unsat",
-                    _ => "unknown",
-                },
-                Err(_) => "unknown",
-            }
-        })
+        .map(|item| portfolio::measure(&staub, &item.script).verdict_name())
         .collect()
 }
 

@@ -1,11 +1,13 @@
 //! Between-stage certification: runs `staub-lint`'s passes over pipeline
 //! stage outputs.
 //!
-//! The pipeline trusts nothing it can re-check cheaply: with checking
-//! enabled, every transformation is re-certified (resort, boundedness,
-//! correspondence) before solving, and every satisfying assignment is
-//! shape-checked before `verify` evaluates it. See [`CheckLevel`] for when
-//! the checks run and what a violation does.
+//! The pipeline trusts nothing it can re-check cheaply. In debug builds,
+//! every bounded attempt re-certifies its translation (resort,
+//! boundedness, correspondence, bound certificate) before solving it, and
+//! shape-checks every bounded model before `verify` evaluates it; an
+//! error-severity finding panics. The scheduler's trusted-`unsat`
+//! promotions re-check their certificates in every build
+//! ([`check_certificate`], [`check_dl_certificate`]).
 
 use staub_lint::{
     bound_certificate, boundedness, correspondence, dl_certificate, model_shape, resort,
@@ -15,32 +17,6 @@ use staub_smtlib::{Model, Script};
 
 use crate::absint::{BoundCertificate, DlEdge};
 use crate::transform::Transformed;
-
-/// When the certifying checker runs between pipeline stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckLevel {
-    /// Never run the checker.
-    Off,
-    /// Run in debug builds only; an error-severity finding panics (the
-    /// invariant violation is a bug, and debug builds should fail loudly).
-    #[default]
-    Debug,
-    /// Always run, release builds included; an error-severity finding
-    /// abandons the bounded path so the pipeline falls back to the original
-    /// constraint (sound, at the cost of the arbitrage speedup).
-    Always,
-}
-
-impl CheckLevel {
-    /// Returns `true` when checks should run in this build.
-    pub fn active(self) -> bool {
-        match self {
-            CheckLevel::Off => false,
-            CheckLevel::Debug => cfg!(debug_assertions),
-            CheckLevel::Always => true,
-        }
-    }
-}
 
 /// Certifies a completed transformation: re-sorts the bounded store, checks
 /// boundedness of the bounded script, and checks the correspondence against
@@ -120,20 +96,13 @@ pub fn check_dl_certificate(original: &Script, cycle: &[DlEdge]) -> LintReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Staub, StaubConfig, WidthChoice};
+    use crate::pipeline::Staub;
     use staub_lint::LintCode;
 
     fn transformed(src: &str) -> (Script, Transformed) {
         let script = Script::parse(src).unwrap();
         let t = Staub::default().transform(&script).unwrap();
         (script, t)
-    }
-
-    #[test]
-    fn check_level_activation() {
-        assert!(!CheckLevel::Off.active());
-        assert!(CheckLevel::Always.active());
-        assert_eq!(CheckLevel::Debug.active(), cfg!(debug_assertions));
     }
 
     #[test]
@@ -213,17 +182,5 @@ mod tests {
         let report = check_transformed(&original, &t);
         assert!(report.has(LintCode::LedgerEscape), "{report}");
         assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn checked_pipeline_still_answers() {
-        let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 121))").unwrap();
-        let staub = Staub::new(StaubConfig {
-            check: CheckLevel::Always,
-            width_choice: WidthChoice::Inferred,
-            ..Default::default()
-        });
-        let outcome = staub.run_with(&script, None).unwrap();
-        assert!(matches!(outcome, crate::pipeline::StaubOutcome::Sat { .. }));
     }
 }

@@ -23,34 +23,35 @@
 //! at one width. [`sched`] races those attempts against the baseline
 //! solver, so no constraint is ever slowed down (§5.1): it analyzes each
 //! constraint once and fans it into baseline + escalating STAUB width
-//! lanes on a work-stealing pool with cooperative cancellation, and its
-//! warm escalation ladder and refine lane are the only places STAUB
-//! widens and retries. [`portfolio`] measures both legs sequentially for
-//! the paper's tables. [`bvreduce`] implements the
+//! lanes (plus the complete and difference-logic lanes where they apply)
+//! on a work-stealing pool with cooperative cancellation, and its warm
+//! escalation ladder and refine lane are the only places STAUB widens and
+//! retries. Every solving entry point goes through it; [`portfolio`]
+//! measures both legs sequentially for the paper's tables. [`bvreduce`] implements the
 //! paper's §6.4 suggestion of applying the same scheme to *already-bounded*
 //! constraints (bitvector width reduction). [`check`] re-certifies each
-//! stage's output with the `staub-lint` checker (see
-//! [`StaubConfig::check`]). [`metrics`] threads per-stage spans and
-//! solver counters through all of it (`staub stats`, batch JSONL `stats`
+//! stage's output with the `staub-lint` checker (in debug builds, on every
+//! bounded attempt). [`metrics`] threads per-lane spans and solver
+//! counters through all of it (`staub stats`, batch JSONL `stats`
 //! blocks).
 //!
 //! # Quickstart
 //!
-//! [`Session`] is the sequential entrypoint: it carries warm solver state
-//! (variable maps, learned clauses, phases, activities) across checks, so
-//! related queries amortize each other's work. The portfolio race is
-//! [`run_one_with`] (one constraint) or [`run_batch_with`] (a batch).
+//! [`run_one_with`] solves one constraint and [`run_batch_with`] a batch.
+//! A [`Session`] adds an SMT-LIB assertion stack and a warm bit-blasting
+//! engine (variable maps, learned clauses, phases, activities) that its
+//! checks share, so related queries amortize each other's work.
 //!
 //! ```
-//! use staub_core::{Session, StaubOutcome};
+//! use staub_core::{run_one_with, BatchConfig, BatchVerdict, RunOptions};
 //! use staub_smtlib::Script;
 //!
 //! let script = Script::parse("\
 //! (declare-fun x () Int)
 //! (assert (= (* x x) 49))
 //! (check-sat)")?;
-//! let outcome = Session::default().run(&script)?;
-//! assert!(matches!(outcome, StaubOutcome::Sat { .. }));
+//! let report = run_one_with("square", &script, &BatchConfig::default(), &RunOptions::default());
+//! assert!(matches!(report.verdict, BatchVerdict::Sat(_)));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -73,13 +74,12 @@ pub use absint::{
     certify, classify_fragment, difference_logic, BoundCertificate, CoeffLedger, DlEdge, DlSystem,
     FragmentClass,
 };
-pub use check::CheckLevel;
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use pipeline::{Provenance, Staub, StaubConfig, StaubError, StaubOutcome, Via, WidthChoice};
+pub use pipeline::{Provenance, Staub, StaubConfig, StaubError, WidthChoice};
 pub use portfolio::{PortfolioReport, Winner};
 pub use sched::{
-    complete_width, run_batch_with, run_one_with, BatchConfig, BatchItem, BatchReport,
-    BatchVerdict, LaneKind, LaneOutcome, LaneSpec, LaneVerdict, RefineRung, RunOptions,
+    run_batch_with, run_one_with, BatchConfig, BatchItem, BatchReport, BatchVerdict, LaneKind,
+    LaneOutcome, LaneSpec, LaneVerdict, RefineRung, RunOptions,
 };
 pub use session::Session;
 pub use transform::{TransformError, Transformed, WidthMap};

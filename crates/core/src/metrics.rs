@@ -5,10 +5,10 @@
 //! verification is smaller than time spent in the unbounded theory
 //! (simplex, branch-and-bound, ICP). This module makes that accounting
 //! observable in-process: a [`Metrics`] registry holds named counters,
-//! gauges, and log₂-bucketed duration histograms; the pipeline records
-//! per-stage spans ([`crate::Staub::with_metrics`]), the scheduler records
-//! per-lane events ([`crate::sched::run_batch_with`]), and the solver
-//! facade's [`SolverStats`] counters are folded in via
+//! gauges, and log₂-bucketed duration histograms; the scheduler records
+//! per-lane events and spans into the registry its
+//! [`crate::RunOptions::metrics`] names ([`crate::sched::run_batch_with`]),
+//! and every lane's [`SolverStats`] counters are folded in via
 //! [`Metrics::record_solver`]. A [`MetricsSnapshot`] renders the whole
 //! registry as human-readable text (`staub stats`) or machine-readable
 //! JSON (bench artifacts).

@@ -1,16 +1,16 @@
-//! The end-to-end STAUB pipeline: infer → transform → solve → verify,
-//! with fallback to the original constraint.
+//! STAUB's bounded attempt (paper Fig. 3): infer → transform → solve →
+//! lift and verify.
 //!
-//! [`bounded_attempt`] is the one bounded attempt of the crate (paper
-//! Fig. 3: translate, solve, lift and verify). The sequential pipeline,
-//! [`crate::portfolio::measure`] and every bounded lane of
-//! [`crate::sched`] run it; only the pipeline attaches its stage metrics
-//! and lint gates.
+//! [`bounded_attempt`] is the one bounded attempt of the crate: every
+//! bounded lane of [`crate::sched`] and [`crate::portfolio::measure`] run
+//! it. In debug builds it lints the translation and the bounded model
+//! before the next stage runs ([`crate::check`]). [`Staub`] and
+//! [`StaubConfig`] hold the analysis stages on their own and the
+//! configuration of the sequential measurement.
 
 use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use staub_lint::LintReport;
@@ -18,9 +18,8 @@ use staub_smtlib::{Model, Script};
 use staub_solver::{Budget, BvSession, SatResult, Solver, SolverProfile, SolverStats};
 
 use crate::absint::{self, InferredBounds};
-use crate::check::{self, CheckLevel};
+use crate::check;
 use crate::correspond::SortLimits;
-use crate::metrics::Metrics;
 use crate::transform::{transform, transform_with_widths, TransformError, Transformed, WidthMap};
 use crate::verify::{lift_and_verify_report, VerifyReport};
 
@@ -35,20 +34,9 @@ pub enum WidthChoice {
     Fixed(u32),
 }
 
-/// Which path produced the final answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Via {
-    /// The transformed bounded constraint (verified).
-    Bounded,
-    /// The original unbounded constraint (fallback / baseline win).
-    Original,
-}
-
-/// Which lane (and at which width) produced a verdict.
-///
-/// Attached to every [`StaubOutcome`] so batch JSONL and `staub stats`
-/// report the producing lane directly instead of inferring it from log
-/// order. Labels follow the scheduler's lane naming
+/// Which lane (and at which width) produced a verdict: the winning lane
+/// of a [`crate::BatchReport`], as batch JSONL, serve replies and
+/// `staub stats` report it. Labels follow the scheduler's lane naming
 /// (`staub/x2/zed`, `baseline/cove`, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Provenance {
@@ -62,86 +50,9 @@ pub struct Provenance {
     pub steps: u64,
 }
 
-impl Provenance {
-    /// Provenance of a verified bounded answer at `multiplier` × base width.
-    pub fn bounded(profile: SolverProfile, multiplier: u32, steps: u64) -> Provenance {
-        Provenance {
-            label: format!("staub/x{multiplier}/{}", profile.name().to_lowercase()),
-            multiplier,
-            steps,
-        }
-    }
-
-    /// Provenance of an answer from the original (unbounded) constraint.
-    pub fn original(profile: SolverProfile, steps: u64) -> Provenance {
-        Provenance {
-            label: format!("baseline/{}", profile.name().to_lowercase()),
-            multiplier: 0,
-            steps,
-        }
-    }
-
-    /// Provenance of a no-answer outcome (no lane produced a verdict).
-    pub fn none(steps: u64) -> Provenance {
-        Provenance {
-            label: "none".to_string(),
-            multiplier: 0,
-            steps,
-        }
-    }
-}
-
-/// Final result of a STAUB run.
-#[derive(Debug, Clone)]
-pub enum StaubOutcome {
-    /// Satisfiable; the model satisfies the *original* constraint (when
-    /// `via` is [`Via::Bounded`] it was verified by exact evaluation).
-    Sat {
-        /// A model of the original constraint.
-        model: Model,
-        /// Which path found it.
-        via: Via,
-        /// Which lane/width produced it.
-        provenance: Provenance,
-    },
-    /// Unsatisfiable — proven on the original constraint (§4.4 case 1: an
-    /// uncertified bounded `unsat` is never trusted). The scheduler's
-    /// complete lane is the one exception to case 1: for pure-LIA scripts
-    /// it may promote a bounded `unsat` at a certified a-priori width
-    /// whose `L4xx` certificate lints clean (see `crate::absint::certify`).
-    Unsat {
-        /// Which lane produced the proof (an original-path lane, or a
-        /// certified complete lane).
-        provenance: Provenance,
-    },
-    /// Neither path answered within budget.
-    Unknown {
-        /// Steps burned before giving up.
-        provenance: Provenance,
-    },
-}
-
-impl StaubOutcome {
-    /// The producing lane, whatever the verdict.
-    pub fn provenance(&self) -> &Provenance {
-        match self {
-            StaubOutcome::Sat { provenance, .. }
-            | StaubOutcome::Unsat { provenance }
-            | StaubOutcome::Unknown { provenance } => provenance,
-        }
-    }
-
-    /// `sat` / `unsat` / `unknown`.
-    pub fn verdict_name(&self) -> &'static str {
-        match self {
-            StaubOutcome::Sat { .. } => "sat",
-            StaubOutcome::Unsat { .. } => "unsat",
-            StaubOutcome::Unknown { .. } => "unknown",
-        }
-    }
-}
-
-/// Configuration of the STAUB pipeline.
+/// Configuration of [`Staub`]: the width strategy and limits its
+/// translation uses, and the solver profile and budgets
+/// [`crate::portfolio::measure`] runs both legs under.
 #[derive(Debug, Clone)]
 pub struct StaubConfig {
     /// Width selection strategy.
@@ -154,9 +65,6 @@ pub struct StaubConfig {
     pub timeout: Duration,
     /// Deterministic step budget per solver call.
     pub steps: u64,
-    /// When to run the `staub-lint` certifying checker between pipeline
-    /// stages (see [`CheckLevel`]).
-    pub check: CheckLevel,
 }
 
 impl Default for StaubConfig {
@@ -167,14 +75,13 @@ impl Default for StaubConfig {
             profile: SolverProfile::Zed,
             timeout: Duration::from_secs(1),
             steps: 4_000_000,
-            check: CheckLevel::default(),
         }
     }
 }
 
-/// Error from a STAUB run. Transformation failures are *not* errors — the
-/// pipeline silently reverts to the original constraint; this type only
-/// covers misuse.
+/// Error from a solve. Transformation failures are *not* errors — the
+/// bounded lanes are then simply not applicable; this type only covers
+/// misuse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StaubError {
     /// The script contains no assertions.
@@ -191,60 +98,30 @@ impl fmt::Display for StaubError {
 
 impl Error for StaubError {}
 
-/// The STAUB pipeline configuration and stage plumbing.
-///
-/// One-shot solving goes through the incremental [`crate::Session`]
-/// (`Session::run`, `Session::try_bounded`), which owns a `Staub` and
-/// carries solver state across checks:
+/// A STAUB configuration and its analysis stages on their own: bound
+/// inference and the bounded translation (what `staub --emit` prints and
+/// `staub lint` certifies). [`crate::portfolio::measure`] runs both legs
+/// under it. Solving goes through the scheduler ([`crate::run_one_with`],
+/// or a warm [`crate::Session`]).
 ///
 /// ```
-/// use staub_core::{Session, StaubOutcome, Via};
+/// use staub_core::Staub;
 /// use staub_smtlib::Script;
 ///
-/// let script = Script::parse("\
-/// (declare-fun x () Int)
-/// (assert (= (* x x) 49))")?;
-/// match Session::default().run(&script)? {
-///     StaubOutcome::Sat { via, .. } => assert_eq!(via, Via::Bounded),
-///     other => panic!("expected sat, got {other:?}"),
-/// }
+/// let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 49))")?;
+/// let bounded = Staub::default().transform(&script)?;
+/// assert!(bounded.bv_width.is_some());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Staub {
     config: StaubConfig,
-    /// Observability registry; disabled by default so un-instrumented runs
-    /// pay a single branch per stage.
-    metrics: Arc<Metrics>,
-}
-
-impl Default for Staub {
-    fn default() -> Staub {
-        Staub::new(StaubConfig::default())
-    }
 }
 
 impl Staub {
     /// Creates a pipeline with the given configuration.
     pub fn new(config: StaubConfig) -> Staub {
-        Staub {
-            config,
-            metrics: Arc::new(Metrics::disabled()),
-        }
-    }
-
-    /// Attaches a metrics registry: subsequent runs record per-stage spans
-    /// (`stage.absint`, `stage.transform`, `stage.solve`, `stage.verify`,
-    /// `stage.lint`, `stage.original_solve`) and solver counters
-    /// (`solver.bounded.*`, `solver.original.*`).
-    pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Staub {
-        self.metrics = metrics;
-        self
-    }
-
-    /// The attached metrics registry (disabled unless set).
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.metrics
+        Staub { config }
     }
 
     /// The active configuration.
@@ -272,81 +149,6 @@ impl Staub {
             &self.config.limits,
         )
     }
-
-    /// The bounded path: infer, then one [`bounded_attempt`] at the
-    /// configured width under this pipeline's stage metrics and lint
-    /// gates, on the warm `engine` when one is given. Returns the lifted
-    /// model iff the bounded constraint was sat and the model verified
-    /// exactly against the original.
-    pub(crate) fn try_bounded_with(
-        &self,
-        script: &Script,
-        budget: &Budget,
-        engine: Option<&mut BvSession>,
-    ) -> Option<Model> {
-        if budget.exhausted() {
-            return None;
-        }
-        self.metrics.incr("pipeline.bounded_attempts", 1);
-        let bounds = self.metrics.time("stage.absint", || absint::infer(script));
-        let translation = Translation::At {
-            bounds: &bounds,
-            width: self.config.width_choice,
-            widths: None,
-            limits: &self.config.limits,
-        };
-        bounded_attempt(
-            script,
-            translation,
-            engine,
-            self.config.profile,
-            budget,
-            Some(self),
-        )
-        .model
-    }
-
-    /// The full pipeline with an optional warm solver engine (see
-    /// [`Staub::try_bounded_with`]).
-    pub(crate) fn run_with(
-        &self,
-        script: &Script,
-        engine: Option<&mut BvSession>,
-    ) -> Result<StaubOutcome, StaubError> {
-        if script.assertions().is_empty() {
-            return Err(StaubError::EmptyScript);
-        }
-        let budget = Budget::new(self.config.timeout, self.config.steps);
-        if let Some(model) = self.try_bounded_with(script, &budget, engine) {
-            return Ok(StaubOutcome::Sat {
-                model,
-                via: Via::Bounded,
-                provenance: Provenance::bounded(self.config.profile, 1, budget.steps_used()),
-            });
-        }
-        let bounded_steps = budget.steps_used();
-        let solver = Solver::new(self.config.profile);
-        let original_budget = Budget::new(self.config.timeout, self.config.steps);
-        let outcome = self.metrics.time("stage.original_solve", || {
-            solver.solve_with_budget(script, &original_budget)
-        });
-        self.metrics
-            .record_solver("solver.original", &outcome.stats);
-        let steps = original_budget.steps_used();
-        Ok(match outcome.result {
-            SatResult::Sat(model) => StaubOutcome::Sat {
-                model,
-                via: Via::Original,
-                provenance: Provenance::original(self.config.profile, steps),
-            },
-            SatResult::Unsat => StaubOutcome::Unsat {
-                provenance: Provenance::original(self.config.profile, steps),
-            },
-            SatResult::Unknown(_) => StaubOutcome::Unknown {
-                provenance: Provenance::none(bounded_steps + steps),
-            },
-        })
-    }
 }
 
 /// The bounded constraint one [`bounded_attempt`] solves.
@@ -373,9 +175,8 @@ pub(crate) struct BoundedAttempt<'p> {
     /// The bounded constraint; `None` when there is no bounded counterpart
     /// at this width. Borrowed when the translation was planned.
     pub transformed: Option<Cow<'p, Transformed>>,
-    /// Solve result of the bounded constraint; `None` when nothing was
-    /// solved (no bounded counterpart, or a pipeline lint gate stopped the
-    /// attempt before solving).
+    /// Solve result of the bounded constraint; `None` when there is no
+    /// bounded counterpart to solve.
     pub result: Option<SatResult>,
     /// The lifted model, iff it verified exactly against the original.
     pub model: Option<Model>,
@@ -395,17 +196,20 @@ pub(crate) struct BoundedAttempt<'p> {
 /// `budget`, then lift the bounded model and verify it exactly against the
 /// original `script`. The solve runs on the warm `engine` when one is given
 /// and the bounded constraint is pure boolean/bitvector, and on a fresh
-/// `profile` solver otherwise. With a `pipeline`, each stage is timed into
-/// its `stage.*` metrics, solver counters go to `solver.bounded.*`, and
-/// under [`StaubConfig::check`] the translation and the bounded model are
-/// linted before the next stage runs.
+/// `profile` solver otherwise.
+///
+/// # Panics
+///
+/// In debug builds, when the `staub-lint` certifying checker finds an
+/// error in the translation (before it is solved) or in the bounded model
+/// (before it is lifted): an invariant violation is a bug, and debug
+/// builds fail loudly. Release builds compile both checks out.
 pub(crate) fn bounded_attempt<'p>(
     script: &Script,
     translation: Translation<'p, '_>,
     engine: Option<&mut BvSession>,
     profile: SolverProfile,
     budget: &Budget,
-    pipeline: Option<&Staub>,
 ) -> BoundedAttempt<'p> {
     let t0 = Instant::now();
     let (transformed, t_trans) = match translation {
@@ -416,10 +220,10 @@ pub(crate) fn bounded_attempt<'p>(
             widths,
             limits,
         } => {
-            let tf = stage(pipeline, "stage.transform", || match widths {
+            let tf = match widths {
                 Some(widths) => transform_with_widths(script, bounds, width, limits, widths),
                 None => transform(script, bounds, width, limits),
-            });
+            };
             (tf.ok().map(Cow::Owned), t0.elapsed())
         }
     };
@@ -436,207 +240,58 @@ pub(crate) fn bounded_attempt<'p>(
     let Some(tf) = attempt.transformed.as_deref() else {
         return attempt;
     };
-    if !gate(pipeline, "transform", || {
-        check::check_transformed(script, tf)
-    }) {
-        return attempt;
-    }
+    debug_gate("transform", || check::check_transformed(script, tf));
     let t1 = Instant::now();
-    let (result, stats) = stage(pipeline, "stage.solve", || match engine {
+    let (result, stats) = match engine {
         Some(e) if staub_solver::is_bit_blastable(&tf.script) => e.check(&tf.script, budget),
         _ => {
             let outcome = Solver::new(profile).solve_with_budget(&tf.script, budget);
             (outcome.result, outcome.stats)
         }
-    });
+    };
     attempt.t_post = t1.elapsed();
-    if let Some(staub) = pipeline {
-        staub.metrics.record_solver("solver.bounded", &stats);
-    }
     attempt.stats = stats;
     if let SatResult::Sat(bounded_model) = &result {
-        if gate(pipeline, "solve", || {
-            check::check_model(&tf.script, bounded_model)
-        }) {
-            let t2 = Instant::now();
-            let (model, report) = stage(pipeline, "stage.verify", || {
-                lift_and_verify_report(script, tf, bounded_model)
-            });
-            attempt.t_check = t2.elapsed();
-            if let Some(staub) = pipeline {
-                let event = if model.is_some() {
-                    "pipeline.verified"
-                } else {
-                    "pipeline.verify_failed"
-                };
-                staub.metrics.incr(event, 1);
-            }
-            attempt.model = model;
-            attempt.report = Some(report);
-        }
+        debug_gate("solve", || check::check_model(&tf.script, bounded_model));
+        let t2 = Instant::now();
+        let (model, report) = lift_and_verify_report(script, tf, bounded_model);
+        attempt.t_check = t2.elapsed();
+        attempt.model = model;
+        attempt.report = Some(report);
     }
     attempt.result = Some(result);
     attempt
 }
 
-/// Runs `f`, timed as `name` in the pipeline's metrics when there is one.
-fn stage<T>(pipeline: Option<&Staub>, name: &str, f: impl FnOnce() -> T) -> T {
-    match pipeline {
-        Some(staub) => staub.metrics.time(name, f),
-        None => f(),
-    }
-}
-
-/// Whether the attempt may go on past `stage_name`: always, unless a
-/// pipeline with active checks finds the `lint` report unclean.
+/// Lints `stage_name`'s output in debug builds; release builds skip the
+/// lint entirely.
 ///
 /// # Panics
 ///
-/// Under [`CheckLevel::Debug`], panics on error-severity findings —
-/// invariant violations are pipeline bugs and debug builds fail loudly.
-fn gate(pipeline: Option<&Staub>, stage_name: &str, lint: impl FnOnce() -> LintReport) -> bool {
-    let Some(staub) = pipeline.filter(|s| s.config.check.active()) else {
-        return true;
-    };
-    let report = staub.metrics.time("stage.lint", lint);
-    if report.is_clean() {
-        return true;
+/// On an error-severity finding.
+fn debug_gate(stage_name: &str, lint: impl FnOnce() -> LintReport) {
+    if cfg!(debug_assertions) {
+        let report = lint();
+        assert!(
+            report.is_clean(),
+            "staub-lint: `{stage_name}` output violates pipeline invariants:\n{report}"
+        );
     }
-    if staub.config.check == CheckLevel::Debug {
-        panic!("staub-lint: `{stage_name}` output violates pipeline invariants:\n{report}");
-    }
-    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run(src: &str) -> StaubOutcome {
-        let script = Script::parse(src).unwrap();
-        let staub = Staub::new(StaubConfig {
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        staub.run_with(&script, None).unwrap()
-    }
-
+    #[cfg(debug_assertions)]
     #[test]
-    fn sat_via_bounded_path() {
-        let outcome = run(
-            "(declare-fun x () Int)(declare-fun y () Int)(declare-fun z () Int)
-             (assert (= (+ (* x x x) (* y y y) (* z z z)) 855))",
-        );
-        match outcome {
-            StaubOutcome::Sat { via, model, .. } => {
-                assert_eq!(via, Via::Bounded);
-                assert_eq!(model.len(), 3);
-            }
-            other => panic!("expected bounded sat, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unsat_via_original() {
-        let outcome = run("(declare-fun x () Int)
-             (assert (>= x 0))(assert (<= x 3))(assert (= (* x x) 7))");
-        assert!(matches!(outcome, StaubOutcome::Unsat { .. }));
-    }
-
-    #[test]
-    fn linear_real_falls_back_gracefully() {
-        // Strict real inequalities often verify (dyadic witness) or revert.
-        let outcome = run("(declare-fun r () Real)(assert (> r 1.5))(assert (< r 2.5))");
-        assert!(matches!(outcome, StaubOutcome::Sat { .. }));
-    }
-
-    #[test]
-    fn empty_script_is_error() {
-        let script = Script::parse("(declare-fun x () Int)").unwrap();
-        assert_eq!(
-            Staub::default().run_with(&script, None).unwrap_err(),
-            StaubError::EmptyScript
-        );
-    }
-
-    #[test]
-    fn fixed_width_configuration() {
+    #[should_panic(expected = "staub-lint: `transform` output violates pipeline invariants")]
+    fn debug_builds_gate_a_broken_translation() {
         let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 49))").unwrap();
-        let staub = Staub::new(StaubConfig {
-            width_choice: WidthChoice::Fixed(16),
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        match staub.run_with(&script, None).unwrap() {
-            StaubOutcome::Sat { via, .. } => assert_eq!(via, Via::Bounded),
-            other => panic!("expected sat, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn insufficient_fixed_width_reverts() {
-        // Width 4 cannot represent 49: transformation fails, original path
-        // answers.
-        let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 49))").unwrap();
-        let staub = Staub::new(StaubConfig {
-            width_choice: WidthChoice::Fixed(4),
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        match staub.run_with(&script, None).unwrap() {
-            StaubOutcome::Sat { via, .. } => assert_eq!(via, Via::Original),
-            other => panic!("expected sat via original, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn metrics_record_stage_spans_and_counters() {
-        let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 49))").unwrap();
-        let metrics = Arc::new(Metrics::new());
-        let staub = Staub::new(StaubConfig {
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        })
-        .with_metrics(Arc::clone(&metrics));
-        staub.run_with(&script, None).unwrap();
-        let snap = metrics.snapshot();
-        for stage in ["stage.absint", "stage.transform", "stage.solve"] {
-            assert!(snap.histograms.contains_key(stage), "missing {stage}");
-        }
-        assert_eq!(snap.counters.get("pipeline.verified"), Some(&1));
-        assert!(
-            snap.counters
-                .keys()
-                .any(|k| k.starts_with("solver.bounded.")),
-            "bounded solver counters recorded"
-        );
-    }
-
-    #[test]
-    fn default_pipeline_records_nothing() {
-        let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 49))").unwrap();
-        let staub = Staub::default();
-        staub.run_with(&script, None).unwrap();
-        assert!(staub.metrics().snapshot().is_empty());
-    }
-
-    #[test]
-    fn bounded_unsat_never_trusted() {
-        // x^2 = 2^40: the inferred width fits the constant; the bounded
-        // constraint is sat (x = 2^20 fits in 42 bits), but pick a narrow
-        // fixed width where the *guarded* bounded constraint is unsat and
-        // confirm the pipeline still answers sat via the original.
-        let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 256))").unwrap();
-        let staub = Staub::new(StaubConfig {
-            // Width 6: 256 does not fit signed 6 bits → transform error →
-            // fallback; and with width 10 the guards allow x=16. Use 6.
-            width_choice: WidthChoice::Fixed(6),
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        match staub.run_with(&script, None).unwrap() {
-            StaubOutcome::Sat { via, .. } => assert_eq!(via, Via::Original),
-            other => panic!("expected sat, got {other:?}"),
-        }
+        let mut planned = Staub::default().transform(&script);
+        planned.as_mut().unwrap().var_map.clear();
+        let budget = Budget::new(Duration::from_secs(5), 1_000_000);
+        let translation = Translation::Planned(&planned, Duration::ZERO);
+        bounded_attempt(&script, translation, None, SolverProfile::Zed, &budget);
     }
 }

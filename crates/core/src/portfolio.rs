@@ -97,6 +97,19 @@ impl PortfolioReport {
     pub fn tractability_improvement(&self) -> bool {
         self.baseline_result.is_unknown() && self.verified
     }
+
+    /// The portfolio's verdict: `sat` when either leg has a model (the
+    /// bounded one verified), `unsat` when the baseline proved it, else
+    /// `unknown` — a bounded `unsat` is never trusted (§4.4).
+    pub fn verdict_name(&self) -> &'static str {
+        if self.verified || self.baseline_result.is_sat() {
+            "sat"
+        } else if self.baseline_result.is_unsat() {
+            "unsat"
+        } else {
+            "unknown"
+        }
+    }
 }
 
 /// Sequentially measures both portfolio legs with separate budgets.
@@ -116,7 +129,7 @@ pub fn measure(staub: &Staub, script: &Script) -> PortfolioReport {
         widths: None,
         limits: &config.limits,
     };
-    let attempt = bounded_attempt(script, translation, None, config.profile, &budget, None);
+    let attempt = bounded_attempt(script, translation, None, config.profile, &budget);
     let (t_trans, t_post, t_check) = (t_infer + attempt.t_trans, attempt.t_post, attempt.t_check);
     let verified = attempt.model.is_some();
     let bounded_result = attempt.result;
@@ -175,6 +188,7 @@ mod tests {
         let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 49))").unwrap();
         let report = measure(&staub(), &script);
         assert!(report.verified, "square constraint verifies");
+        assert_eq!(report.verdict_name(), "sat");
         assert!(report.t_trans > Duration::ZERO);
         assert!(report.t_post > Duration::ZERO);
         assert!(report.speedup() >= 1.0, "portfolio never slows down");
@@ -191,6 +205,7 @@ mod tests {
         let report = measure(&staub(), &script);
         assert!(!report.verified, "no model exists to verify");
         assert!(report.baseline_result.is_unsat());
+        assert_eq!(report.verdict_name(), "unsat");
         assert_eq!(report.winner, Winner::Baseline);
         assert!((report.speedup() - 1.0).abs() < 1e-9);
         assert!(consistent_with(&report, Some(false)));

@@ -53,6 +53,11 @@
 //! batch degrades gracefully instead of hanging. Workers are scoped
 //! threads: when [`run_batch_with`] returns, every lane has been joined —
 //! no thread outlives the batch.
+//!
+//! Every solving entry point runs here, [`crate::Session`] checks
+//! included: a session hands its warm engine to the first profile's
+//! escalation ladder, in place of the fresh engine that ladder would
+//! otherwise build, so its checks warm-start each other.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -737,11 +742,9 @@ impl Analysis {
 }
 
 /// The complete-lane width a bound certificate allows: the script must be
-/// pure LIA and its certified width must fit the bitvector limit. Public
-/// so other surfaces (the CLI's unknown-reason report) apply the *same*
-/// eligibility test the planner does — a certificate wider than the lane
-/// limit is not lane-eligible.
-pub fn complete_width(certificate: &BoundCertificate, limits: &SortLimits) -> Option<u32> {
+/// pure LIA and its certified width must fit the bitvector limit — a
+/// certificate wider than the lane limit is not lane-eligible.
+fn complete_width(certificate: &BoundCertificate, limits: &SortLimits) -> Option<u32> {
     certificate
         .certified_width
         .filter(|&w| w <= limits.max_bv_width)
@@ -836,9 +839,9 @@ fn out_of_steps(result: &SatResult, budget: &Budget) -> bool {
 /// be promoted to a trusted `unsat`: the planned certificate must pass
 /// every `L4xx` lint, which re-derive fragment class, ledger, certified
 /// width and per-variable coverage from the original script and check
-/// `used_width ≥` certified width. This runs unconditionally (not just
-/// under `StaubConfig::check`): the promotion is a soundness claim, so it
-/// is never taken on an unchecked certificate.
+/// `used_width ≥` certified width. This runs in every build (not just in
+/// debug builds, which lint every bounded attempt): the promotion is a
+/// soundness claim, so it is never taken on an unchecked certificate.
 fn certificate_promotes(script: &Script, cert: &BoundCertificate, used_width: u32) -> bool {
     match cert.certified_width {
         Some(c) if used_width >= c => {
@@ -854,7 +857,7 @@ fn certificate_promotes(script: &Script, cert: &BoundCertificate, used_width: u3
 /// every STAUB `sat` is) or promote the extracted negative cycle to a
 /// trusted `unsat`. The promotion mirrors [`certificate_promotes`]: it is
 /// a soundness claim, so the independent `L5xx` lints re-check the cycle
-/// unconditionally — not just under `StaubConfig::check`.
+/// in every build.
 fn run_dl_lane(cell: &Cell<'_>, spec: &LaneSpec, config: &BatchConfig) -> LaneOutcome {
     let (script, cancel) = (cell.script, &cell.cancel);
     let start = Instant::now();
@@ -1031,7 +1034,6 @@ fn run_lane(
                     engine.as_deref_mut(),
                     spec.profile,
                     budget,
-                    None,
                 )
             };
             let mut budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
@@ -1213,7 +1215,6 @@ fn run_refine_lane(
             Some(&mut engine),
             spec.profile,
             &budget,
-            None,
         );
         t_trans += attempt.t_trans;
         let Some(tf) = attempt.transformed.as_deref() else {
@@ -1382,6 +1383,8 @@ struct Cell<'a> {
     specs: Vec<LaneSpec>,
     /// Lane indices grouped into schedulable jobs (see [`Job`]).
     groups: Vec<Vec<usize>>,
+    /// The caller's warm engine, until the first profile's ladder takes it.
+    warm: Mutex<Option<&'a mut BvSession>>,
     cancel: CancelFlag,
     started: Instant,
     state: Mutex<CellState>,
@@ -1433,7 +1436,7 @@ pub fn run_batch_with(
     options: &RunOptions,
 ) -> Vec<BatchReport> {
     let cells = items.iter().map(|item| (item.name.as_str(), &item.script));
-    run_cells(cells, config, options)
+    run_cells(cells, config, options, None)
 }
 
 /// [`run_batch_with`] for a single constraint: plan, run, report — the
@@ -1446,15 +1449,30 @@ pub fn run_one_with(
     config: &BatchConfig,
     options: &RunOptions,
 ) -> BatchReport {
-    run_cells(std::iter::once((name, script)), config, options)
+    run_one_on(name, script, config, options, None)
+}
+
+/// [`run_one_with`] whose first profile's escalation ladder runs on the
+/// caller's warm `engine` when one is given (a [`crate::Session`]'s).
+pub(crate) fn run_one_on(
+    name: &str,
+    script: &Script,
+    config: &BatchConfig,
+    options: &RunOptions,
+    engine: Option<&mut BvSession>,
+) -> BatchReport {
+    run_cells(std::iter::once((name, script)), config, options, engine)
         .pop()
         .expect("one item in, one report out")
 }
 
+/// Plans and runs every item; the first item's first-profile ladder runs
+/// on `engine` when one is given.
 fn run_cells<'a>(
     items: impl Iterator<Item = (&'a str, &'a Script)>,
     config: &BatchConfig,
     options: &RunOptions,
+    mut engine: Option<&'a mut BvSession>,
 ) -> Vec<BatchReport> {
     let disabled;
     let metrics: &Metrics = match &options.metrics {
@@ -1478,6 +1496,7 @@ fn run_cells<'a>(
                 analysis,
                 specs,
                 groups,
+                warm: Mutex::new(engine.take()),
                 cancel: CancelFlag::new(),
                 started: Instant::now(),
                 state: Mutex::new(CellState {
@@ -1624,8 +1643,19 @@ fn execute_job(job: Job, cells: &[Cell<'_>], config: &BatchConfig, metrics: &Met
     // (ascending width, plan order) on one warm engine, so each rung
     // re-uses the previous rung's low-bit encoding, learned clauses,
     // phases, and activities. The ladder stops at the first sound rung.
+    // The first profile's ladder runs on the caller's engine when there
+    // is one, so it also re-uses the caller's earlier checks.
     metrics.incr("sched.ladder_jobs", 1);
-    let mut engine = BvSession::new(cell.specs[group[0]].profile.sat_config());
+    let profile = cell.specs[group[0]].profile;
+    let caller = match config.profiles.first() {
+        Some(&first) if first == profile => cell.warm.lock().expect("warm lock").take(),
+        _ => None,
+    };
+    let mut fresh = None;
+    let engine = match caller {
+        Some(engine) => engine,
+        None => fresh.insert(BvSession::new(profile.sat_config())),
+    };
     let mut answered = false;
     for &lane in group {
         let spec = &cell.specs[lane];
@@ -1636,7 +1666,7 @@ fn execute_job(job: Job, cells: &[Cell<'_>], config: &BatchConfig, metrics: &Met
         } else {
             metrics.incr("sched.lane_started", 1);
             metrics.incr("sched.warm_rungs", 1);
-            run_lane(cell, spec, config, Some(&mut engine), metrics)
+            run_lane(cell, spec, config, Some(&mut *engine), metrics)
         };
         if outcome.verdict.is_sound() {
             answered = true;

@@ -1,59 +1,56 @@
-//! Incremental solving sessions: the unified entrypoint of the pipeline.
+//! Incremental solving sessions: an SMT-LIB assertion stack and a warm
+//! bit-blasting engine on top of the scheduler.
 //!
-//! A [`Session`] owns the STAUB pipeline configuration *and* a persistent
-//! solver engine ([`BvSession`]) that survives across `check()` calls.
-//! Where a one-shot pipeline run spawns a fresh solver per call, a session
-//! carries forward:
+//! Every [`Session`] check runs the scheduler ([`crate::sched`]), exactly
+//! as [`crate::run_one_with`] does, with one difference: the first
+//! profile's escalation ladder solves on the session's persistent
+//! [`BvSession`] instead of a fresh one. Across checks that engine carries
+//! forward
 //!
 //! * the bit-blaster's **variable map** (symbol name × bit → SAT variable)
 //!   and **structural gate cache**, so re-encoding an unchanged or widened
 //!   constraint reuses the existing circuit instead of rebuilding it;
 //! * the SAT core's **learned clauses**, **saved phases**, and
-//!   **variable activities** — all valid forever because the session only
+//!   **variable activities** — all valid forever because the engine only
 //!   accumulates satisfiable-standalone Tseitin definitions at level 0 and
-//!   passes assertion roots as per-check *assumptions*;
-//! * the simplex tableau across added rows (for the arithmetic lanes of
-//!   future checks that share structure).
+//!   passes assertion roots as per-check *assumptions*.
 //!
-//! Every check is one bounded attempt at the configured width, then the
-//! original constraint; a session never widens. Widening is the batch
-//! scheduler's job ([`crate::sched`]): its warm escalation ladder and its
-//! refine lane share one engine across rungs the same way a session shares
-//! one across checks.
+//! The baseline, difference-logic and refine lanes, and a lone bounded
+//! rung, solve on fresh solvers as they do for any other request.
 //!
 //! # Incremental scripting
 //!
-//! Sessions also expose SMT-LIB-style assertion levels:
+//! Sessions expose SMT-LIB-style assertion levels:
 //!
 //! ```
-//! use staub_core::{Session, StaubOutcome};
+//! use staub_core::Session;
 //!
 //! let mut session = Session::default();
 //! session.assert_text("(declare-fun x () Int)(assert (>= x 0))(assert (<= x 10))")?;
 //! session.assert_text("(assert (= (* x x) 49))")?;
-//! assert_eq!(session.check()?.verdict_name(), "sat");
+//! assert_eq!(session.check()?.verdict.name(), "sat");
 //! session.push();
 //! session.assert_text("(assert (>= x 8))")?;
-//! assert_eq!(session.check()?.verdict_name(), "unsat");
+//! assert_eq!(session.check()?.verdict.name(), "unsat");
 //! session.pop();
-//! assert_eq!(session.check()?.verdict_name(), "sat");
+//! assert_eq!(session.check()?.verdict.name(), "sat");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use std::sync::Arc;
 
-use staub_smtlib::{Model, ParseError, Script};
-use staub_solver::{Budget, BvSession};
+use staub_smtlib::{ParseError, Script};
+use staub_solver::BvSession;
 
 use crate::metrics::Metrics;
-use crate::pipeline::{Staub, StaubConfig, StaubError, StaubOutcome};
+use crate::pipeline::StaubError;
+use crate::sched::{run_one_on, BatchConfig, BatchReport, RunOptions};
 
-/// An incremental solving session: pipeline configuration, assertion
+/// An incremental solving session: scheduler configuration, assertion
 /// stack, and a warm solver engine shared by every check.
-///
-/// This is the intended public entrypoint for solving.
 pub struct Session {
-    staub: Staub,
+    config: BatchConfig,
+    options: RunOptions,
     engine: BvSession,
     /// Assertion frames; `frames[0]` is the base level and is never popped.
     /// Each frame holds SMT-LIB source fragments in assertion order.
@@ -64,36 +61,34 @@ pub struct Session {
 
 impl Default for Session {
     fn default() -> Session {
-        Session::new(StaubConfig::default())
+        Session::new(BatchConfig::default())
     }
 }
 
 impl Session {
-    /// Creates a session with the given pipeline configuration.
-    pub fn new(config: StaubConfig) -> Session {
-        let engine = BvSession::new(config.profile.sat_config());
+    /// Creates a session whose checks run the scheduler under `config`;
+    /// its warm engine serves the first of `config.profiles`.
+    pub fn new(config: BatchConfig) -> Session {
+        let profile = config.profiles.first().copied().unwrap_or_default();
         Session {
-            staub: Staub::new(config),
-            engine,
+            engine: BvSession::new(profile.sat_config()),
+            config,
+            options: RunOptions::default(),
             frames: vec![Vec::new()],
             cached: None,
         }
     }
 
-    /// Attaches a metrics registry (see `Staub::with_metrics`).
+    /// Attaches a metrics registry: every check records the scheduler's
+    /// `sched.*` and `solver.<lane>.*` metrics into it.
     pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Session {
-        self.staub = self.staub.with_metrics(metrics);
+        self.options.metrics = Some(metrics);
         self
     }
 
     /// The active configuration.
-    pub fn config(&self) -> &StaubConfig {
-        self.staub.config()
-    }
-
-    /// The attached metrics registry (disabled unless set).
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        self.staub.metrics()
+    pub fn config(&self) -> &BatchConfig {
+        &self.config
     }
 
     /// The persistent solver engine (checks performed, gate-cache hits —
@@ -181,38 +176,40 @@ impl Session {
 
     // -- checks ------------------------------------------------------------
 
-    /// Checks the current assertion stack at the configured base width,
-    /// warm-starting from all previous checks.
+    /// Checks the current assertion stack, warm-starting from all previous
+    /// checks.
     ///
     /// # Errors
     ///
     /// Returns [`StaubError::EmptyScript`] when no assertions are active.
-    pub fn check(&mut self) -> Result<StaubOutcome, StaubError> {
+    pub fn check(&mut self) -> Result<BatchReport, StaubError> {
         self.ensure_parsed();
         let (_, script) = self.cached.as_ref().expect("ensure_parsed populated cache");
-        self.staub.run_with(script, Some(&mut self.engine))
+        solve(script, &self.config, &self.options, &mut self.engine)
     }
 
-    // -- one-shot entrypoints ----------------------------------------------
-
-    /// Runs the full pipeline on `script` (bounded path, then the original
-    /// constraint), warm-starting the bounded solve from previous calls.
-    /// The session's assertion stack is not consulted.
+    /// Solves `script` on the warm engine; the session's assertion stack
+    /// is not consulted.
     ///
     /// # Errors
     ///
     /// Returns [`StaubError::EmptyScript`] for scripts without assertions.
-    pub fn run(&mut self, script: &Script) -> Result<StaubOutcome, StaubError> {
-        self.staub.run_with(script, Some(&mut self.engine))
+    pub fn run(&mut self, script: &Script) -> Result<BatchReport, StaubError> {
+        solve(script, &self.config, &self.options, &mut self.engine)
     }
+}
 
-    /// Attempts the bounded path only on `script`: transform, warm solve,
-    /// verify. Returns `Some(model)` iff a bounded constraint is
-    /// satisfiable *and* its model verifies against the original.
-    pub fn try_bounded(&mut self, script: &Script, budget: &Budget) -> Option<Model> {
-        self.staub
-            .try_bounded_with(script, budget, Some(&mut self.engine))
+/// One scheduler run of `script` whose first ladder solves on `engine`.
+fn solve(
+    script: &Script,
+    config: &BatchConfig,
+    options: &RunOptions,
+    engine: &mut BvSession,
+) -> Result<BatchReport, StaubError> {
+    if script.assertions().is_empty() {
+        return Err(StaubError::EmptyScript);
     }
+    Ok(run_one_on("session", script, config, options, Some(engine)))
 }
 
 /// Concatenates the assertion frames into one SMT-LIB source.
@@ -230,10 +227,11 @@ fn combine(frames: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::BatchVerdict;
     use std::time::Duration;
 
-    fn config() -> StaubConfig {
-        StaubConfig {
+    fn config() -> BatchConfig {
+        BatchConfig {
             timeout: Duration::from_secs(5),
             ..Default::default()
         }
@@ -246,21 +244,18 @@ mod tests {
             .assert_text("(declare-fun x () Int)(assert (>= x 0))(assert (<= x 10))")
             .unwrap();
         session.assert_text("(assert (= (* x x) 49))").unwrap();
-        assert!(matches!(session.check().unwrap(), StaubOutcome::Sat { .. }));
+        assert_eq!(session.check().unwrap().verdict.name(), "sat");
         session.push();
         session.assert_text("(assert (>= x 8))").unwrap();
-        assert!(matches!(
-            session.check().unwrap(),
-            StaubOutcome::Unsat { .. }
-        ));
+        assert_eq!(session.check().unwrap().verdict.name(), "unsat");
         assert!(session.pop());
-        assert!(matches!(session.check().unwrap(), StaubOutcome::Sat { .. }));
+        assert_eq!(session.check().unwrap().verdict.name(), "sat");
         // Pop-then-re-assert: a *different* constraint on the same symbol.
         session.push();
         session.assert_text("(assert (= x 7))").unwrap();
-        match session.check().unwrap() {
-            StaubOutcome::Sat { model, .. } => assert_eq!(model.len(), 1),
-            other => panic!("expected sat, got {other:?}"),
+        match session.check().unwrap().verdict {
+            BatchVerdict::Sat(model) => assert_eq!(model.len(), 1),
+            other => panic!("expected sat, got {}", other.name()),
         }
     }
 
@@ -282,7 +277,7 @@ mod tests {
         assert!(session.assert_text("(assert (= x").is_err());
         // The bad fragment was dropped: a valid follow-up still works.
         session.assert_text("(assert (= x 3))").unwrap();
-        assert!(matches!(session.check().unwrap(), StaubOutcome::Sat { .. }));
+        assert_eq!(session.check().unwrap().verdict.name(), "sat");
     }
 
     #[test]
@@ -294,20 +289,28 @@ mod tests {
     }
 
     #[test]
-    fn warm_checks_agree_with_cold_pipeline() {
+    fn warm_engine_serves_the_ladder_across_checks() {
+        // Without a baseline lane the escalation ladder always runs, so
+        // every check reaches the session's engine; the verdicts are a
+        // fresh session's.
+        let ladder = BatchConfig {
+            include_baseline: false,
+            ..config()
+        };
         let sources = [
             "(declare-fun x () Int)(assert (= (* x x) 49))",
             "(declare-fun x () Int)(assert (>= x 0))(assert (<= x 3))(assert (= (* x x) 7))",
             "(declare-fun x () Int)(assert (= (* x x) 121))",
         ];
-        let mut session = Session::new(config());
-        let staub = Staub::new(config());
+        let mut session = Session::new(ladder.clone());
+        let mut checks = session.engine().checks();
         for src in sources {
             let script = Script::parse(src).unwrap();
             let warm = session.run(&script).unwrap();
-            let cold = staub.run_with(&script, None).unwrap();
-            assert_eq!(warm.verdict_name(), cold.verdict_name(), "{src}");
+            let fresh = Session::new(ladder.clone()).run(&script).unwrap();
+            assert_eq!(warm.verdict.name(), fresh.verdict.name(), "{src}");
+            assert!(session.engine().checks() > checks, "{src}: engine idle");
+            checks = session.engine().checks();
         }
-        assert_eq!(session.engine().checks(), 3);
     }
 }

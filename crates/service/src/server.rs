@@ -11,8 +11,10 @@
 //! scheduler work, then through the [`AnswerStore`] (the in-memory LRU,
 //! or the crash-persistent snapshot+log store when
 //! [`ServerConfig::persist`] is set), and only on a miss runs the
-//! scheduler: [`run_one_with`] for `solve`, the session's warm engine for
-//! `check`.
+//! scheduler: [`run_one_with`] for `solve`, and for `check` the same
+//! scheduler through the session's [`Session`], whose warm engine serves
+//! its escalation ladder. Both build their reply from the scheduler's
+//! report the same way; they differ only in where the script comes from.
 //!
 //! # Drain
 //!
@@ -46,11 +48,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use staub_core::{
-    run_one_with, BatchConfig, BatchVerdict, Metrics, Provenance, RunOptions, Session, StaubConfig,
-    StaubError, StaubOutcome,
+    run_one_with, BatchConfig, BatchReport, BatchVerdict, Metrics, RunOptions, Session, StaubError,
 };
 use staub_smtlib::{canonicalize, evaluate, Canonical, Model, Script, Value};
-use staub_solver::SolverProfile;
 
 use crate::cache::{AnswerCache, AnswerStore, CacheConfig, CachedVerdict};
 use crate::endpoint::Endpoint;
@@ -719,23 +719,16 @@ struct Asked<'a> {
     no_cache: bool,
 }
 
-/// A fresh answer from a miss solver.
-struct Fresh {
-    verdict: BatchVerdict,
-    winner: Option<String>,
-    provenance: Option<Provenance>,
-    stats_json: Option<String>,
-}
-
 /// The one answer path of `solve` and session `check`: canonicalize,
 /// serve a store hit (a `sat` only after re-verification), otherwise run
-/// `solve`, store its decided verdict, and build the reply. `solve`
-/// returns an error reply instead when it cannot answer.
+/// `solve` (the scheduler), store its decided verdict, and build the reply
+/// from its report. `solve` returns an error reply instead when it cannot
+/// answer.
 fn answer(
     inner: &Inner,
     asked: Asked<'_>,
     script: &Script,
-    solve: impl FnOnce() -> Result<Fresh, String>,
+    solve: impl FnOnce() -> Result<BatchReport, String>,
 ) -> String {
     let canon = canonicalize(script);
     let use_cache = inner.store.is_some() && !asked.no_cache;
@@ -747,21 +740,27 @@ fn answer(
     let (cache, (verdict, model, winner), provenance, stats_json) = match hit {
         Some(answer) => ("hit", answer, None, None),
         None => {
-            let fresh = match solve() {
-                Ok(fresh) => fresh,
+            let report = match solve() {
+                Ok(report) => report,
                 Err(reply) => return reply,
             };
+            let winner = report.winner_lane().map(|l| l.spec.label());
             if use_cache {
-                cache_store(inner, &canon, &fresh.verdict, &fresh.winner);
+                cache_store(inner, &canon, &report.verdict, &winner);
             }
-            let (verdict, model) = match &fresh.verdict {
+            let (verdict, model) = match &report.verdict {
                 BatchVerdict::Sat(model) => ("sat", Some(named_bindings(script, model))),
                 BatchVerdict::Unsat => ("unsat", None),
                 BatchVerdict::Unknown => ("unknown", None),
             };
             let cache = if use_cache { "miss" } else { "off" };
-            let answer = (verdict, model, fresh.winner);
-            (cache, answer, fresh.provenance, fresh.stats_json)
+            let answer = (verdict, model, winner);
+            (
+                cache,
+                answer,
+                report.provenance(),
+                Some(report.stats_json()),
+            )
         }
     };
     SolveReply {
@@ -811,15 +810,9 @@ fn solve_one(inner: &Arc<Inner>, v: u32, req: &SolveRequest) -> String {
         let options = RunOptions {
             metrics: Some(Arc::clone(&inner.metrics)),
         };
-        let report = inner.metrics.time("serve.solve", || {
+        Ok(inner.metrics.time("serve.solve", || {
             run_one_with(&name, &script, &batch, &options)
-        });
-        Ok(Fresh {
-            winner: report.winner_lane().map(|l| l.spec.label()),
-            provenance: report.provenance(),
-            stats_json: Some(report.stats_json()),
-            verdict: report.verdict,
-        })
+        }))
     })
 }
 
@@ -845,19 +838,7 @@ fn open_session(
     }
     // Per-check budgets are fixed at open time.
     let batch = clamped_batch(inner, timeout_ms, steps);
-    let config = StaubConfig {
-        width_choice: batch.width_choice,
-        limits: batch.limits,
-        profile: batch
-            .profiles
-            .first()
-            .copied()
-            .unwrap_or(SolverProfile::Zed),
-        timeout: batch.timeout,
-        steps: batch.steps,
-        ..StaubConfig::default()
-    };
-    let session = Session::new(config).with_metrics(Arc::clone(&inner.metrics));
+    let session = Session::new(batch).with_metrics(Arc::clone(&inner.metrics));
     sessions.next += 1;
     let name = format!("s{}", sessions.next);
     sessions.open.push((name.clone(), session));
@@ -892,31 +873,13 @@ fn check_session(
     };
     answer(inner, asked, &script, || {
         inner.metrics.incr("serve.session.checks", 1);
-        let outcome = match inner.metrics.time("serve.solve", || session.check()) {
-            Ok(outcome) => outcome,
-            Err(StaubError::EmptyScript) => {
+        inner
+            .metrics
+            .time("serve.solve", || session.check())
+            .map_err(|StaubError::EmptyScript| {
                 inner.metrics.incr("serve.errors", 1);
-                let reply =
-                    protocol::error_reply(2, id, codes::EMPTY_SCRIPT, "session asserts nothing");
-                return Err(reply);
-            }
-        };
-        let provenance = outcome.provenance().clone();
-        let verdict = match outcome {
-            StaubOutcome::Sat { model, .. } => BatchVerdict::Sat(model),
-            // A session `unsat` is sound — proven on the original
-            // constraint, or promoted from a certified complete lane —
-            // so replaying it for a canonically identical constraint is
-            // sound too, the same invariant the scheduler path relies on.
-            StaubOutcome::Unsat { .. } => BatchVerdict::Unsat,
-            StaubOutcome::Unknown { .. } => BatchVerdict::Unknown,
-        };
-        Ok(Fresh {
-            verdict,
-            winner: Some(provenance.label.clone()),
-            provenance: Some(provenance),
-            stats_json: None,
-        })
+                protocol::error_reply(2, id, codes::EMPTY_SCRIPT, "session asserts nothing")
+            })
     })
 }
 
@@ -1043,14 +1006,35 @@ mod tests {
         let mut sessions = SessionTable::default();
         // Opens a session holding `constraint` and checks it through the
         // answer path (the gate in `handle_line` is not under test).
-        let check = |sessions: &mut SessionTable, constraint: &str| {
+        let check = |sessions: &mut SessionTable, constraint: &str, no_cache: bool| {
             let (open, _) = handle_line(&inner, sessions, r#"{"op":"session_open","v":2}"#);
             let parsed = crate::json::parse(&open).unwrap();
             let name = parsed.get("session").and_then(Json::as_str).unwrap();
             let session = sessions.get_mut(name).unwrap();
             session.assert_text(constraint).unwrap();
-            check_session(&inner, Some("c"), name, session, false)
+            check_session(&inner, Some("c"), name, session, no_cache)
         };
+
+        // Uncached, both kinds run the same lanes: a difference-logic
+        // chain whose baseline is incomplete is decided by the DL lane.
+        let dl_strict = "(declare-fun x0 () Int)(declare-fun x1 () Int)\
+                         (declare-fun x2 () Int)(declare-fun x3 () Int)\
+                         (declare-fun x4 () Int)\
+                         (assert (< x0 x1))(assert (> x2 x1))(assert (< x2 x3))\
+                         (assert (> x4 x3))(assert (<= (- x4 x0) 1))";
+        let uncached = SolveRequest {
+            no_cache: true,
+            ..solve_req(dl_strict, Some("s"))
+        };
+        for reply in [
+            check(&mut sessions, dl_strict, true),
+            solve_one(&inner, 1, &uncached),
+        ] {
+            let parsed = crate::json::parse(&reply).unwrap();
+            assert_eq!(parsed.get("verdict").and_then(Json::as_str), Some("unsat"));
+            assert_eq!(parsed.get("winner").and_then(Json::as_str), Some("dl/zed"));
+            assert_eq!(parsed.get("cache").and_then(Json::as_str), Some("off"));
+        }
 
         // A `solve` answer serves an α-renamed session `check`...
         let req = solve_req(
@@ -1062,6 +1046,7 @@ mod tests {
         let checked = check(
             &mut sessions,
             "(declare-fun y () Int)(assert (= 49 (* y y)))",
+            false,
         );
         assert!(checked.contains("\"cache\":\"hit\""), "{checked}");
         assert!(checked.contains("\"model\":{\"y\":"), "{checked}");
@@ -1070,6 +1055,7 @@ mod tests {
         let checked = check(
             &mut sessions,
             "(declare-fun p () Int)(assert (> p 5))(assert (< p 9))",
+            false,
         );
         assert!(checked.contains("\"cache\":\"miss\""), "{checked}");
         assert!(checked.contains("\"verdict\":\"sat\""), "{checked}");
@@ -1134,7 +1120,7 @@ mod tests {
         let kinds = [
             (&solve_miss, SOLVE, 3, "miss", true, true),
             (&solve_hit, SOLVE, 3, "hit", false, false),
-            (&check_miss, CHECK, 2, "miss", true, false),
+            (&check_miss, CHECK, 2, "miss", true, true),
             (&check_hit, CHECK, 2, "hit", false, false),
         ];
         for (reply, keys, v, cache, provenance, stats) in kinds {

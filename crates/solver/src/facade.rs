@@ -184,31 +184,8 @@ impl Solver {
 
     fn dispatch(&self, script: &Script, budget: &Budget, stats: &mut SolverStats) -> SatResult {
         let store = script.store();
-        let mut has_int = false;
-        let mut has_real = false;
-        let mut has_bv = false;
-        let mut has_fp = false;
-        for sym in store.symbols() {
-            match store.symbol_sort(sym) {
-                Sort::Int => has_int = true,
-                Sort::Real => has_real = true,
-                Sort::BitVec(_) => has_bv = true,
-                Sort::Float(..) => has_fp = true,
-                Sort::Bool | Sort::RoundingMode => {}
-            }
-        }
-        // Constants can introduce sorts without declared variables.
-        for &a in script.assertions() {
-            scan_sorts(
-                store,
-                a,
-                &mut has_int,
-                &mut has_real,
-                &mut has_bv,
-                &mut has_fp,
-            );
-        }
-        match (has_int, has_real, has_bv, has_fp) {
+        let used = SortsUsed::of(script);
+        match (used.int, used.real, used.bv, used.fp) {
             (false, false, false, false) => {
                 // Pure boolean: the bit-blaster degenerates to Tseitin + SAT.
                 let (r, s) = solve_bv(script, self.profile.sat_config(), budget);
@@ -221,7 +198,7 @@ impl Solver {
                 r
             }
             (true, false, false, false) | (false, true, false, false) => {
-                let is_int = has_int;
+                let is_int = used.int;
                 // Complete linear engines first (pure conjunctions, then
                 // bounded DNF case-splitting); interval search is the
                 // nonlinear fallback.
@@ -260,60 +237,49 @@ impl Solver {
 
 /// `true` when `script` uses only `Bool` and `(_ BitVec w)` sorts — exactly
 /// the scripts [`Solver`] hands to the eager bit-blaster, and therefore the
-/// scripts a [`crate::BvSession`] can check incrementally.
+/// scripts a [`crate::BvSession`] can check incrementally. Pure-boolean
+/// scripts (no bitvectors at all) are bit-blastable too.
 pub fn is_bit_blastable(script: &Script) -> bool {
-    let store = script.store();
-    let mut has_int = false;
-    let mut has_real = false;
-    let mut has_bv = false;
-    let mut has_fp = false;
-    for sym in store.symbols() {
-        match store.symbol_sort(sym) {
-            Sort::Int => has_int = true,
-            Sort::Real => has_real = true,
-            Sort::BitVec(_) => has_bv = true,
-            Sort::Float(..) => has_fp = true,
-            Sort::Bool | Sort::RoundingMode => {}
-        }
-    }
-    for &a in script.assertions() {
-        scan_sorts(
-            store,
-            a,
-            &mut has_int,
-            &mut has_real,
-            &mut has_bv,
-            &mut has_fp,
-        );
-    }
-    // Pure-boolean scripts (no bitvectors at all) are bit-blastable too.
-    let _ = has_bv;
-    !(has_int || has_real || has_fp)
+    let used = SortsUsed::of(script);
+    !(used.int || used.real || used.fp)
 }
 
-fn scan_sorts(
-    store: &staub_smtlib::TermStore,
-    id: staub_smtlib::TermId,
-    has_int: &mut bool,
-    has_real: &mut bool,
-    has_bv: &mut bool,
-    has_fp: &mut bool,
-) {
-    let mut stack = vec![id];
-    let mut seen = vec![false; store.len()];
-    while let Some(t) = stack.pop() {
-        if seen[t.index()] {
-            continue;
+/// The theory sorts a script uses.
+#[derive(Default)]
+struct SortsUsed {
+    int: bool,
+    real: bool,
+    bv: bool,
+    fp: bool,
+}
+
+impl SortsUsed {
+    /// The sorts of the declared symbols and of every term the assertions
+    /// reach: constants can introduce sorts without declared variables.
+    fn of(script: &Script) -> SortsUsed {
+        let store = script.store();
+        let mut used = SortsUsed::default();
+        let mut note = |sort: Sort| match sort {
+            Sort::Int => used.int = true,
+            Sort::Real => used.real = true,
+            Sort::BitVec(_) => used.bv = true,
+            Sort::Float(..) => used.fp = true,
+            Sort::Bool | Sort::RoundingMode => {}
+        };
+        for sym in store.symbols() {
+            note(store.symbol_sort(sym));
         }
-        seen[t.index()] = true;
-        match store.sort(t) {
-            Sort::Int => *has_int = true,
-            Sort::Real => *has_real = true,
-            Sort::BitVec(_) => *has_bv = true,
-            Sort::Float(..) => *has_fp = true,
-            _ => {}
+        let mut stack: Vec<_> = script.assertions().to_vec();
+        let mut seen = vec![false; store.len()];
+        while let Some(t) = stack.pop() {
+            if seen[t.index()] {
+                continue;
+            }
+            seen[t.index()] = true;
+            note(store.sort(t));
+            stack.extend(store.term(t).args().iter().copied());
         }
-        stack.extend(store.term(t).args().iter().copied());
+        used
     }
 }
 

@@ -3,7 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use staub_core::{Session, StaubConfig, StaubOutcome};
+use staub_core::{BatchConfig, BatchVerdict, Session};
 use staub_smtlib::Script;
 use staub_solver::{SatResult, Solver, SolverProfile};
 
@@ -51,7 +51,7 @@ pub struct ProveOutcome {
 #[derive(Debug, Clone)]
 enum Backend {
     Baseline(Box<Solver>),
-    Staub(Box<StaubConfig>),
+    Staub(Box<BatchConfig>),
 }
 
 /// The termination prover (the Ultimate Automizer stand-in).
@@ -93,9 +93,9 @@ impl TerminationProver {
         }
     }
 
-    /// A prover that routes every constraint through the STAUB pipeline
-    /// (the paper's RQ3 configuration).
-    pub fn with_staub(config: StaubConfig) -> TerminationProver {
+    /// A prover that routes every constraint through the STAUB portfolio
+    /// scheduler (the paper's RQ3 configuration).
+    pub fn with_staub(config: BatchConfig) -> TerminationProver {
         TerminationProver {
             backend: Backend::Staub(Box::new(config)),
             unroll_depths: vec![2, 4, 8],
@@ -124,10 +124,10 @@ impl TerminationProver {
                 // ranking queries of one program share loop structure, so
                 // later queries reuse the earlier encodings.
                 let session = session.get_or_insert_with(|| Session::new(config.as_ref().clone()));
-                match session.run(script) {
-                    Ok(StaubOutcome::Sat { model, .. }) => SatResult::Sat(model),
-                    Ok(StaubOutcome::Unsat { .. }) => SatResult::Unsat,
-                    Ok(StaubOutcome::Unknown { .. }) | Err(_) => {
+                match session.run(script).map(|report| report.verdict) {
+                    Ok(BatchVerdict::Sat(model)) => SatResult::Sat(model),
+                    Ok(BatchVerdict::Unsat) => SatResult::Unsat,
+                    Ok(BatchVerdict::Unknown) | Err(_) => {
                         SatResult::Unknown(staub_solver::UnknownReason::BudgetExhausted)
                     }
                 }
@@ -253,7 +253,7 @@ mod tests {
     fn staub_backend_agrees() {
         let p = Program::parse("agree", "vars x; while (x > 0) { x = x - 3; }").unwrap();
         let base = TerminationProver::default().prove(&p);
-        let with_staub = TerminationProver::with_staub(StaubConfig {
+        let with_staub = TerminationProver::with_staub(BatchConfig {
             timeout: Duration::from_millis(800),
             steps: 1_000_000,
             ..Default::default()

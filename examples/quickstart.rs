@@ -1,10 +1,11 @@
-//! Quickstart: run the STAUB pipeline on an SMT-LIB constraint.
+//! Quickstart: inspect STAUB's translation of an SMT-LIB constraint, then
+//! solve it with the portfolio scheduler.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use staub::core::{Session, Staub, StaubOutcome, Via};
+use staub::core::{BatchVerdict, Session, Staub};
 use staub::smtlib::Script;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,28 +36,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         transformed.script
     );
 
-    // Run the full pipeline (bounded path + fallback) in a session —
-    // repeated or widened checks would warm-start from this one.
+    // Race the baseline against the bounded lanes in a session — repeated
+    // checks would warm-start from this one.
     let mut session = Session::default();
-    match session.run(&script)? {
-        StaubOutcome::Sat {
-            model,
-            via,
-            provenance,
-        } => {
-            println!(
-                "sat (via the {} constraint, lane {})",
-                if via == Via::Bounded {
-                    "bounded"
-                } else {
-                    "original"
-                },
-                provenance.label
-            );
+    let report = session.run(&script)?;
+    let lane = report
+        .winner_lane()
+        .map_or_else(|| "none".to_string(), |l| l.spec.label());
+    match report.verdict {
+        BatchVerdict::Sat(model) => {
+            println!("sat (lane {lane})");
             println!("model:\n{}", model.to_smtlib(script.store()));
         }
-        StaubOutcome::Unsat { .. } => println!("unsat"),
-        StaubOutcome::Unknown { .. } => println!("unknown"),
+        verdict => println!("{} (lane {lane})", verdict.name()),
     }
     Ok(())
 }

@@ -18,24 +18,27 @@
 //!   --emit             print the bounded SMT-LIB constraint and exit
 //!   --width <N>        fixed bitvector width instead of inference
 //!   --profile <P>      solver profile: zed (default) or cove
-//!   --timeout-ms <N>   per-solver-call wall-clock budget (default 1000)
+//!   --timeout-ms <N>   per-lane wall-clock budget (default 1000)
 //!   --refine <N>       race the baseline against the per-variable refine
 //!                      lane, at most N widening rungs (as `batch
 //!                      --refine-depth N`)
 //!   --reduce           width-reduce an already-bounded QF_BV input (§6.4)
-//!   --race             race the baseline against the bounded lanes (as
-//!                      `batch` on one file; default: sequential)
-//!   --stats            print inference and timing details
+//!   --stats            print inference details and the deciding lane
 //! ```
+//!
+//! Solving runs the portfolio scheduler on the one file, as `staub batch`
+//! does: the baseline races the bounded lanes (and the complete and
+//! difference-logic lanes where they apply), the first sound answer
+//! winning.
 //!
 //! The `lint` subcommand runs the `staub-lint` certifying checker: it
 //! re-sorts the parsed input and, when the input is transformable,
 //! re-certifies the bounded translation (boundedness, guard domination,
 //! correspondence). Exits nonzero iff error-severity findings exist.
 //!
-//! The `stats` subcommand runs the pipeline once with the metrics
-//! registry enabled and prints the verdict followed by per-stage
-//! wall-clock spans and solver-internal counters.
+//! The `stats` subcommand solves once with the metrics registry enabled
+//! and prints the verdict, the deciding lane (or why the answer is
+//! unknown), then the scheduler's lane spans and solver-internal counters.
 //!
 //! The `batch` subcommand drives every given constraint through the
 //! multi-lane portfolio scheduler (baseline + STAUB width-escalation
@@ -55,8 +58,8 @@ use std::time::Duration;
 use std::fmt::Write as _;
 
 use staub::core::{
-    run_one_with, BatchConfig, BatchVerdict, Provenance, RunOptions, Session, Staub, StaubConfig,
-    StaubError, StaubOutcome, Via, WidthChoice,
+    run_one_with, BatchConfig, BatchReport, BatchVerdict, RunOptions, Staub, StaubConfig,
+    WidthChoice,
 };
 use staub::smtlib::Script;
 use staub::solver::SolverProfile;
@@ -67,7 +70,6 @@ struct Options {
     width: WidthChoice,
     profile: SolverProfile,
     timeout: Duration,
-    race: bool,
     stats: bool,
     /// Refine-lane depth, when `--refine` was given.
     refine: Option<u32>,
@@ -83,7 +85,6 @@ fn parse_args() -> Result<Options, String> {
         width: WidthChoice::Inferred,
         profile: SolverProfile::Zed,
         timeout: Duration::from_millis(1000),
-        race: false,
         stats: false,
         refine: None,
         reduce: false,
@@ -92,7 +93,6 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--emit" => options.emit = true,
             "--reduce" => options.reduce = true,
-            "--race" => options.race = true,
             "--stats" => options.stats = true,
             "--width" => {
                 let w = args
@@ -133,7 +133,7 @@ fn parse_args() -> Result<Options, String> {
 }
 
 const USAGE: &str = "usage: staub [--emit] [--reduce] [--width N] \
-[--profile zed|cove] [--timeout-ms N] [--refine N] [--race] [--stats] <file.smt2>
+[--profile zed|cove] [--timeout-ms N] [--refine N] [--stats] <file.smt2>
        staub lint [--width N] <file.smt2>
        staub stats [--width N] [--profile zed|cove] [--timeout-ms N] <file.smt2>
        staub batch [--threads N] [--timeout-ms N] [--steps N] [--width N] \
@@ -150,13 +150,15 @@ const USAGE: &str = "usage: staub [--emit] [--reduce] [--width N] \
 const STATS_USAGE: &str = "usage: staub stats [--width N] [--profile zed|cove] \
 [--timeout-ms N] <file.smt2>
 
-Runs the full arbitrage pipeline once with the metrics registry enabled and
-prints the verdict followed by per-stage wall-clock spans (parse, absint,
-transform, lint, solve, verify) and solver-internal counters (SAT
-decisions/conflicts/propagations/restarts, bit-blasted clauses, simplex
-pivots, branch-and-bound nodes, ICP contractions, FP local-search moves).";
+Solves the constraint once, as `staub FILE` does (the portfolio scheduler on
+one file), with the metrics registry enabled. Prints the verdict, the lane
+that decided it (or the scheduler's reason for an unknown), then the parse
+span, the scheduler's lane events and spans (sched.*) and every lane's
+solver-internal counters (solver.<lane>.*: SAT decisions/conflicts/
+propagations/restarts, bit-blasted clauses, simplex pivots, branch-and-bound
+nodes, ICP contractions, FP local-search moves).";
 
-/// `staub stats`: one observed pipeline run, then the metrics snapshot.
+/// `staub stats`: one observed solve, then the metrics snapshot.
 fn stats_main(args: Vec<String>) -> ExitCode {
     use staub::core::Metrics;
     use std::sync::Arc;
@@ -217,61 +219,29 @@ fn stats_main(args: Vec<String>) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut session = Session::new(StaubConfig {
-        width_choice: width,
-        profile,
-        timeout,
-        ..Default::default()
-    })
-    .with_metrics(Arc::clone(&metrics));
-    let mut out = String::new();
-    match session.run(&script) {
-        Ok(outcome) => {
-            let p = outcome.provenance();
+    let config = solve_config(width, profile, timeout, None);
+    let options = RunOptions {
+        metrics: Some(Arc::clone(&metrics)),
+    };
+    let Some(report) = solve(&file, &script, &config, &options) else {
+        return ExitCode::FAILURE;
+    };
+    let mut out = format!("{}\n", report.verdict.name());
+    match report.provenance() {
+        Some(p) => {
             let _ = writeln!(
                 out,
-                "{}\n; lane {} (x{}) in {} steps",
-                outcome.verdict_name(),
-                p.label,
-                p.multiplier,
-                p.steps
+                "; lane {} (x{}) in {} steps",
+                p.label, p.multiplier, p.steps
             );
-            if outcome.verdict_name() == "unknown" {
-                // Distinguish a recoverable unknown (more budget could
-                // decide it) from a structural one, using the scheduler's
-                // own lane-eligibility test so both surfaces agree: a
-                // certificate wider than the lane limit is not eligible.
-                let limits = staub::core::correspond::SortLimits::default();
-                let cert = staub::core::certify(&script);
-                let reason = if staub::core::difference_logic(&script).is_some() {
-                    "budget exhausted (difference-logic fragment; retry with more steps)"
-                        .to_string()
-                } else {
-                    match (
-                        staub::core::complete_width(&cert, &limits),
-                        cert.certified_width,
-                    ) {
-                        (Some(_), _) => {
-                            "budget exhausted (certified lia fragment; retry with more steps)"
-                                .to_string()
-                        }
-                        (None, Some(w)) => format!(
-                            "linear but not difference logic; certified width {w} exceeds \
-                             the {}-bit lane limit",
-                            limits.max_bv_width
-                        ),
-                        (None, None) => {
-                            format!("ineligible fragment ({})", cert.fragment.name())
-                        }
-                    }
-                };
-                let _ = writeln!(out, "; unknown reason: {reason}");
-            }
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+        None => {
+            let steps: u64 = report.lanes.iter().map(|l| l.steps_used).sum();
+            let _ = writeln!(out, "; no lane decided it ({steps} steps across lanes)");
         }
+    }
+    if let Some(reason) = report.unknown_reason {
+        let _ = writeln!(out, "; unknown reason: {reason}");
     }
     let _ = write!(out, "{}", metrics.snapshot());
     emit(&out)
@@ -1168,13 +1138,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let config = StaubConfig {
+    let staub = Staub::new(StaubConfig {
         width_choice: options.width,
-        profile: options.profile,
-        timeout: options.timeout,
         ..Default::default()
-    };
-    let staub = Staub::new(config.clone());
+    });
 
     if options.stats {
         let bounds = staub.infer(&script);
@@ -1244,73 +1211,59 @@ fn main() -> ExitCode {
     }
 
     let start = std::time::Instant::now();
-    let outcome = if options.race || options.refine.is_some() {
-        race(&options, &script)
-    } else {
-        Session::new(config).run(&script)
+    let config = solve_config(
+        options.width,
+        options.profile,
+        options.timeout,
+        options.refine,
+    );
+    let Some(report) = solve(&options.file, &script, &config, &RunOptions::default()) else {
+        return ExitCode::FAILURE;
     };
-    let text = match outcome {
-        Ok(StaubOutcome::Sat {
-            model,
-            via,
-            provenance,
-        }) => {
-            if options.stats {
-                eprintln!(
-                    "; via {} path (lane {}) in {:?}",
-                    if via == Via::Bounded {
-                        "bounded"
-                    } else {
-                        "original"
-                    },
-                    provenance.label,
-                    start.elapsed()
-                );
-            }
-            format!("sat\n{}\n", model.to_smtlib(script.store()))
-        }
-        Ok(StaubOutcome::Unsat { .. }) => "unsat\n".to_string(),
-        Ok(StaubOutcome::Unknown { .. }) => "unknown\n".to_string(),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    if options.stats {
+        let lane = report
+            .winner_lane()
+            .map_or_else(|| "none".to_string(), |l| l.spec.label());
+        eprintln!("; decided by lane {lane} in {:?}", start.elapsed());
+    }
+    let text = match report.verdict {
+        BatchVerdict::Sat(model) => format!("sat\n{}\n", model.to_smtlib(script.store())),
+        verdict => format!("{}\n", verdict.name()),
     };
     emit(&text)
 }
 
-/// `--race` and `--refine N`: the batch scheduler's race on one file —
-/// baseline against the bounded lanes (the warm escalation ladder, or the
-/// refine lane at depth N), the first sound answer winning.
-fn race(options: &Options, script: &Script) -> Result<StaubOutcome, StaubError> {
-    if script.assertions().is_empty() {
-        return Err(StaubError::EmptyScript);
-    }
+/// The scheduler configuration of `staub FILE` and `staub stats`: the
+/// batch defaults under one profile, with `--refine N` planning the refine
+/// lane at depth N (as `batch --refine-depth N`).
+fn solve_config(
+    width: WidthChoice,
+    profile: SolverProfile,
+    timeout: Duration,
+    refine: Option<u32>,
+) -> BatchConfig {
     let defaults = BatchConfig::default();
-    let config = BatchConfig {
-        timeout: options.timeout,
-        width_choice: options.width,
-        profiles: vec![options.profile],
-        refine: options.refine.is_some(),
-        refine_depth: options.refine.unwrap_or(defaults.refine_depth),
+    BatchConfig {
+        timeout,
+        width_choice: width,
+        profiles: vec![profile],
+        refine: refine.is_some(),
+        refine_depth: refine.unwrap_or(defaults.refine_depth),
         ..defaults
-    };
-    let report = run_one_with(&options.file, script, &config, &RunOptions::default());
-    let via = if report.winner_lane().is_some_and(|l| l.spec.is_staub()) {
-        Via::Bounded
-    } else {
-        Via::Original
-    };
-    let provenance = report
-        .provenance()
-        .unwrap_or_else(|| Provenance::none(report.lanes.iter().map(|l| l.steps_used).sum()));
-    Ok(match report.verdict {
-        BatchVerdict::Sat(model) => StaubOutcome::Sat {
-            model,
-            via,
-            provenance,
-        },
-        BatchVerdict::Unsat => StaubOutcome::Unsat { provenance },
-        BatchVerdict::Unknown => StaubOutcome::Unknown { provenance },
-    })
+    }
+}
+
+/// Runs the scheduler on one file; `None` (after saying why) when the
+/// script asserts nothing.
+fn solve(
+    file: &str,
+    script: &Script,
+    config: &BatchConfig,
+    options: &RunOptions,
+) -> Option<BatchReport> {
+    if script.assertions().is_empty() {
+        eprintln!("error: script has no assertions");
+        return None;
+    }
+    Some(run_one_with(file, script, config, options))
 }

@@ -1,9 +1,10 @@
 //! STAUB — SMT Theory Arbitrage in Rust.
 //!
 //! Umbrella crate re-exporting the whole workspace. Start with
-//! [`staub_core::Session`] (re-exported as [`core::Session`]) — the
-//! incremental end-to-end pipeline entrypoint — or see the crate-level
-//! docs of each member:
+//! [`core::run_one_with`] — the portfolio scheduler every solve goes
+//! through — or [`core::Session`], the same scheduler behind an SMT-LIB
+//! assertion stack with a warm solver engine; or see the crate-level docs
+//! of each member:
 //!
 //! * [`numeric`] — exact arithmetic (bigints, rationals, bitvectors, floats).
 //! * [`smtlib`] — SMT-LIB v2 parsing, terms, and printing.
@@ -22,7 +23,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use staub::core::{Session, StaubOutcome};
+//! use staub::core::{BatchVerdict, Session};
 //! use staub::smtlib::Script;
 //!
 //! let src = "\
@@ -31,13 +32,13 @@
 //! (check-sat)";
 //! let script = Script::parse(src)?;
 //! let mut session = Session::default();
-//! let outcome = session.run(&script)?;
-//! assert!(matches!(outcome, StaubOutcome::Sat { .. }));
+//! let report = session.run(&script)?;
+//! assert!(matches!(report.verdict, BatchVerdict::Sat(_)));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Repeated or widened checks through the same [`core::Session`]
-//! warm-start from earlier ones; see its docs for the incremental
+//! Repeated checks through the same [`core::Session`] warm-start from
+//! earlier ones; see its docs for the incremental
 //! `push`/`pop`/`assert_text`/`check` surface.
 
 #![forbid(unsafe_code)]

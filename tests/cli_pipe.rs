@@ -1,6 +1,7 @@
 //! `staub` writing into a pipe whose reader has already gone away
 //! (`staub --emit f | head`, `staub client --help | true`) must exit
-//! cleanly, not panic — whatever the subcommand.
+//! cleanly, not panic — whatever the subcommand. Every solving subcommand
+//! runs the same scheduler, so all of them give one answer.
 
 use std::process::{Command, Stdio};
 
@@ -30,10 +31,9 @@ fn emit_into_a_closed_pipe_exits_cleanly() {
 
 #[test]
 fn solve_lint_stats_and_batch_into_a_closed_pipe_exit_cleanly() {
-    let invocations: [&[&str]; 9] = [
+    let invocations: [&[&str]; 8] = [
         &["--help"],
         &[EXAMPLE],
-        &["--race", EXAMPLE],
         &["--refine", "2", EXAMPLE],
         &["stats", EXAMPLE],
         &["stats", "--help"],
@@ -44,6 +44,46 @@ fn solve_lint_stats_and_batch_into_a_closed_pipe_exit_cleanly() {
     for args in invocations {
         assert_clean_exit(args);
     }
+}
+
+/// A strict ordering chain against a span bound (benchgen
+/// `dl/strict/0007`, seed 1): unsat, and a difference-logic constraint
+/// whose baseline gives up as incomplete, so only the DL lane decides it.
+const DL_STRICT: &str = "(set-logic QF_LIA)
+(declare-fun x0 () Int)
+(declare-fun x1 () Int)
+(declare-fun x2 () Int)
+(declare-fun x3 () Int)
+(declare-fun x4 () Int)
+(assert (< x0 x1))
+(assert (> x2 x1))
+(assert (< x2 x3))
+(assert (> x4 x3))
+(assert (<= (- x4 x0) 1))
+(check-sat)
+";
+
+#[test]
+fn solve_stats_and_batch_give_one_answer() {
+    let path = std::env::temp_dir().join(format!("staub-dl-strict-{}.smt2", std::process::id()));
+    std::fs::write(&path, DL_STRICT).expect("write the constraint");
+    let file = path.to_str().expect("utf-8 temp path");
+    let stdout = |args: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_staub"))
+            .args(args)
+            .output()
+            .expect("spawn staub");
+        assert_eq!(output.status.code(), Some(0), "{args:?}");
+        String::from_utf8(output.stdout).expect("utf-8 output")
+    };
+    let solved = stdout(&[file]);
+    let stats = stdout(&["stats", file]);
+    let batch = stdout(&["batch", "--no-stats", file]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(solved, "unsat\n");
+    assert!(stats.starts_with("unsat\n; lane dl/zed "), "{stats}");
+    assert!(batch.contains("\"verdict\":\"unsat\""), "{batch}");
+    assert!(batch.contains("\"winner\":\"dl/zed\""), "{batch}");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use staub::core::StaubConfig;
+use staub::core::BatchConfig;
 use staub::termination::{suite::suite_97, Program, TerminationProver, Verdict};
 
 #[test]
@@ -35,7 +35,7 @@ fn suite_prover_is_sound_against_ground_truth() {
 #[test]
 fn staub_backend_matches_baseline_verdicts() {
     let baseline = TerminationProver::default();
-    let with_staub = TerminationProver::with_staub(StaubConfig {
+    let with_staub = TerminationProver::with_staub(BatchConfig {
         timeout: Duration::from_millis(800),
         steps: 1_000_000,
         ..Default::default()

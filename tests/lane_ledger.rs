@@ -1,5 +1,5 @@
-//! Lane ledger: every library solving entry point keeps its verdicts,
-//! provenance and deterministic step counts, lane by lane.
+//! Lane ledger: the scheduler keeps its verdicts, provenance and
+//! deterministic step counts, lane by lane.
 //!
 //! A fixed-seed corpus with a few constraints from every benchgen family
 //! (NIA, LIA, NRA, LRA, skewed, difference logic, and the linear family,
@@ -7,20 +7,23 @@
 //!
 //! * the scheduler under the default lane plan (baseline, the warm
 //!   `staub/xN` escalation ladder, and the DL and complete lanes where
-//!   they apply),
-//! * the scheduler under the refine plan, and
-//! * `Session::run` on a fresh session per constraint,
+//!   they apply), and
+//! * the scheduler under the refine plan,
 //!
 //! each once at the inferred width and once at a fixed 9-bit base, which
 //! is too narrow for many constants and witnesses and so exercises the
 //! escalation rungs, the refine lane's widening and the fallback to the
 //! original constraint.
 //!
-//! Both scheduler runs use one worker, a wall-clock timeout that never
-//! binds and `cancel_losers: false`, so every planned lane runs and every
-//! figure below is a deterministic step count. The rendered ledger must
-//! equal `tests/lane_ledger.txt` byte for byte. Widened variable names in
+//! Both runs use one worker, a wall-clock timeout that never binds and
+//! `cancel_losers: false`, so every planned lane runs and every figure
+//! below is a deterministic step count. The rendered ledger must equal
+//! `tests/lane_ledger.txt` byte for byte. Widened variable names in
 //! refine rungs are sorted.
+//!
+//! A fresh [`Session`] runs the same scheduler with its own engine under
+//! the ladder, so for every constraint it must render exactly the lines
+//! of the default plan; the test asserts that while it renders.
 //!
 //! To regenerate the ledger after an intended behaviour change, run
 //!
@@ -35,8 +38,7 @@ use std::time::Duration;
 
 use staub::benchgen::{generate, generate_dl, generate_linear, generate_skewed, SuiteKind};
 use staub::core::{
-    run_batch_with, BatchConfig, BatchItem, BatchReport, RunOptions, Session, StaubConfig,
-    WidthChoice,
+    run_batch_with, BatchConfig, BatchItem, BatchReport, RunOptions, Session, WidthChoice,
 };
 
 const SEED: u64 = 0x1ED6E5;
@@ -126,29 +128,23 @@ fn render() -> String {
     let mut out = String::new();
     for (tag, width) in WIDTHS {
         for (plan, refine) in [("ladder", false), ("refine", true)] {
+            let plan = format!("{plan}{tag}");
             let config = batch_config(refine, width);
-            for report in run_batch_with(&items, &config, &RunOptions::default()) {
-                render_report(&mut out, &format!("{plan}{tag}"), &report);
+            let reports = run_batch_with(&items, &config, &RunOptions::default());
+            for (item, report) in items.iter().zip(&reports) {
+                let mut lines = String::new();
+                render_report(&mut lines, &plan, report);
+                if !refine {
+                    let mut fresh = Session::new(config.clone())
+                        .run(&item.script)
+                        .expect("corpus scripts assert");
+                    fresh.name.clone_from(&item.name);
+                    let mut session_lines = String::new();
+                    render_report(&mut session_lines, &plan, &fresh);
+                    assert_eq!(session_lines, lines, "a fresh session diverges");
+                }
+                out.push_str(&lines);
             }
-        }
-        for item in &items {
-            let mut session = Session::new(StaubConfig {
-                width_choice: width,
-                timeout: TIMEOUT,
-                steps: STEPS,
-                ..StaubConfig::default()
-            });
-            let outcome = session.run(&item.script).expect("corpus scripts assert");
-            let p = outcome.provenance();
-            let _ = writeln!(
-                out,
-                "session{tag} {} => {} via {} x{} {}",
-                item.name,
-                outcome.verdict_name(),
-                p.label,
-                p.multiplier,
-                p.steps
-            );
         }
     }
     out

@@ -1,7 +1,7 @@
 //! Differential battery for counterexample-guided per-variable width
 //! refinement: on randomly generated instances, the refine lane, the
-//! blind escalation ladder, and an independent sequential [`Session`]
-//! reference must never contradict each other, must respect the
+//! blind escalation ladder, and the independent sequential reference
+//! ([`portfolio::measure`]) must never contradict each other, must respect the
 //! generator's ground truth, and every `sat` must ship a model that
 //! exactly evaluates the *original* unbounded constraint to true.
 //!
@@ -15,7 +15,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use staub::benchgen::{generate, generate_skewed, Benchmark, SuiteKind};
 use staub::core::{
-    run_one_with, BatchConfig, BatchReport, BatchVerdict, LaneKind, RunOptions, Session,
+    portfolio, run_one_with, BatchConfig, BatchReport, BatchVerdict, LaneKind, RunOptions, Staub,
     StaubConfig, WidthChoice,
 };
 use staub::smtlib::{evaluate, Value};
@@ -92,16 +92,17 @@ proptest! {
                 run_one_with(&bench.name, &bench.script, &batch_config(true), &RunOptions::default());
             let blind =
                 run_one_with(&bench.name, &bench.script, &batch_config(false), &RunOptions::default());
-            // Independent reference: the sequential incremental pipeline
-            // under its own (inferred) width strategy.
-            let reference = Session::new(StaubConfig {
-                timeout: Duration::from_secs(60),
-                steps: STEPS,
-                ..StaubConfig::default()
-            })
-            .run(&bench.script)
-            .map(|o| o.verdict_name())
-            .unwrap_or("unknown");
+            // Independent reference: both portfolio legs run one after the
+            // other, under their own (inferred) width strategy.
+            let reference = portfolio::measure(
+                &Staub::new(StaubConfig {
+                    timeout: Duration::from_secs(60),
+                    steps: STEPS,
+                    ..StaubConfig::default()
+                }),
+                &bench.script,
+            )
+            .verdict_name();
 
             let r = refined.verdict.name();
             let b = blind.verdict.name();

@@ -10,9 +10,9 @@ use std::time::Duration;
 use proptest::prelude::*;
 use staub::benchgen::{generate, Benchmark, SuiteKind};
 use staub::core::{
-    run_one_with, BatchConfig, BatchVerdict, LaneVerdict, RunOptions, Session, StaubConfig,
+    portfolio, run_one_with, BatchConfig, BatchVerdict, LaneVerdict, RunOptions, Staub, StaubConfig,
 };
-use staub::solver::{Budget, Solver, SolverProfile};
+use staub::solver::{Solver, SolverProfile};
 
 /// Large enough that the interval-propagation baseline cannot exhaust it
 /// in the time the bounded lane needs to win, so a baseline `Unknown` can
@@ -52,11 +52,11 @@ fn race_config() -> BatchConfig {
 /// search walks a window of seeds to keep the property test from going
 /// vacuous.
 fn hard_easy_instance(seed0: u64) -> Option<Benchmark> {
-    let easy = StaubConfig {
+    let easy = Staub::new(StaubConfig {
         timeout: Duration::from_secs(120),
         steps: EASY_SCREEN_STEPS,
         ..Default::default()
-    };
+    });
     let hard = Solver::new(SolverProfile::Zed)
         .with_timeout(Duration::from_secs(120))
         .with_steps(HARD_SCREEN_STEPS);
@@ -65,10 +65,11 @@ fn hard_easy_instance(seed0: u64) -> Option<Benchmark> {
             .into_iter()
             .filter(|b| b.expected == Some(true))
             .find(|b| {
-                let budget = Budget::new(Duration::from_secs(120), EASY_SCREEN_STEPS);
-                Session::new(easy.clone())
-                    .try_bounded(&b.script, &budget)
-                    .is_some()
+                // The sequential measure's baseline leg runs the easy
+                // budget: a baseline that decides within it is not hard.
+                let screen = portfolio::measure(&easy, &b.script);
+                screen.verified
+                    && screen.baseline_result.is_unknown()
                     && hard.solve(&b.script).result.is_unknown()
             })
     })
