@@ -42,7 +42,6 @@ fn config(dl: bool) -> BatchConfig {
         timeout: Duration::from_secs(30),
         steps: 2_000_000,
         cancel_losers: true,
-        retry: false,
         dl,
         ..BatchConfig::default()
     }

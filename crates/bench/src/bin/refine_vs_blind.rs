@@ -1,5 +1,9 @@
-//! Counterexample-guided refinement vs the blind escalation ladder: the
-//! CI acceptance gate behind `BatchConfig::refine`.
+//! Counterexample-guided refinement vs the blind escalation ladder: a
+//! same-engine A/B of the two widening policies, and the CI acceptance
+//! gate behind `WidenPolicy::PerVariable`. Both legs run the scheduler's
+//! one bounded-lane runner on one warm engine per profile; they differ
+//! only in `BatchConfig::widen` — `Global([2, 4])` (blind) against
+//! `PerVariable` (refine).
 //!
 //! The corpus is escalation-heavy NIA plus the skewed-width family:
 //!
@@ -41,7 +45,7 @@ use std::time::{Duration, Instant};
 use staub_benchgen::generate_skewed;
 use staub_core::{
     portfolio, run_batch_with, BatchConfig, BatchItem, BatchReport, LaneKind, LaneVerdict,
-    RunOptions, Staub, StaubConfig, WidthChoice,
+    RunOptions, Staub, StaubConfig, WidenPolicy, WidthChoice,
 };
 use staub_smtlib::Script;
 
@@ -82,20 +86,18 @@ fn corpus() -> Vec<BatchItem> {
     items
 }
 
-/// One worker and early-stop in both legs: the only difference is *what*
-/// gets widened between rungs — everything (blind) or the variables the
-/// counterexample names (refine).
-fn config(refine: bool) -> BatchConfig {
+/// One worker and early-stop in both legs: the only difference is the
+/// widening policy — *what* gets widened between rungs: everything
+/// (blind) or the variables the counterexample names (refine).
+fn config(widen: WidenPolicy) -> BatchConfig {
     BatchConfig {
         threads: 1,
         timeout: Duration::from_secs(30),
         steps: 2_000_000,
         width_choice: WidthChoice::Fixed(9),
-        escalations: if refine { Vec::new() } else { vec![2, 4] },
+        widen,
         include_baseline: false,
         cancel_losers: true,
-        retry: false,
-        refine,
         ..BatchConfig::default()
     }
 }
@@ -105,9 +107,9 @@ struct Leg {
     wall: Duration,
 }
 
-fn run_leg(items: &[BatchItem], refine: bool) -> Leg {
+fn run_leg(items: &[BatchItem], widen: WidenPolicy) -> Leg {
     let start = Instant::now();
-    let reports = run_batch_with(items, &config(refine), &RunOptions::default());
+    let reports = run_batch_with(items, &config(widen), &RunOptions::default());
     Leg {
         reports,
         wall: start.elapsed(),
@@ -194,8 +196,13 @@ fn main() -> ExitCode {
         .nth(1)
         .unwrap_or_else(|| "BENCH_refine.json".to_string());
     let items = corpus();
-    let blind = run_leg(&items, false);
-    let refined = run_leg(&items, true);
+    let blind = run_leg(&items, WidenPolicy::Global(vec![2, 4]));
+    let refined = run_leg(
+        &items,
+        WidenPolicy::PerVariable {
+            depth: WidenPolicy::DEFAULT_DEPTH,
+        },
+    );
     let reference = reference_verdicts(&items);
 
     let mut rows = Vec::new();

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use staub_core::{
     portfolio, run_batch_with, BatchConfig, BatchItem, Metrics, MetricsSnapshot, RunOptions, Staub,
-    StaubConfig, WidthChoice,
+    StaubConfig, WidenPolicy, WidthChoice,
 };
 use staub_slot::Slot;
 use staub_solver::{SatResult, Solver, SolverProfile};
@@ -130,10 +130,9 @@ impl EvalConfig {
             timeout: self.timeout,
             steps: self.steps,
             width_choice: width,
-            escalations: Vec::new(),
+            widen: WidenPolicy::Global(Vec::new()),
             profiles: vec![profile],
             cancel_losers: false,
-            retry: false,
             ..BatchConfig::default()
         }
     }

@@ -24,9 +24,9 @@
 //! solver, so no constraint is ever slowed down (§5.1): it analyzes each
 //! constraint once and fans it into baseline + escalating STAUB width
 //! lanes (plus the complete and difference-logic lanes where they apply)
-//! on a work-stealing pool with cooperative cancellation, and its warm
-//! escalation ladder and refine lane are the only places STAUB widens and
-//! retries. Every solving entry point goes through it; [`portfolio`]
+//! on a work-stealing pool with cooperative cancellation; its one
+//! bounded-lane runner, under a [`WidenPolicy`], is the only place STAUB
+//! widens and retries. Every solving entry point goes through it; [`portfolio`]
 //! measures both legs sequentially for the paper's tables. [`bvreduce`] implements the
 //! paper's §6.4 suggestion of applying the same scheme to *already-bounded*
 //! constraints (bitvector width reduction). [`check`] re-certifies each
@@ -79,7 +79,7 @@ pub use pipeline::{Provenance, Staub, StaubConfig, StaubError, WidthChoice};
 pub use portfolio::{PortfolioReport, Winner};
 pub use sched::{
     run_batch_with, run_one_with, BatchConfig, BatchItem, BatchReport, BatchVerdict, LaneKind,
-    LaneOutcome, LaneSpec, LaneVerdict, RefineRung, RunOptions,
+    LaneOutcome, LaneSpec, LaneVerdict, RefineRung, RunOptions, WidenPolicy,
 };
 pub use session::Session;
 pub use transform::{TransformError, Transformed, WidthMap};

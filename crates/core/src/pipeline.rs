@@ -153,15 +153,15 @@ impl Staub {
 
 /// The bounded constraint one [`bounded_attempt`] solves.
 pub(crate) enum Translation<'p, 'a> {
-    /// Translate now: at `width` over `bounds`, with optional per-variable
-    /// requests layered over it.
+    /// Translate now: at `width` over `bounds`, with per-variable requests
+    /// layered over it.
     At {
         /// The inference the translation selects sorts from.
         bounds: &'a InferredBounds,
         /// The (base) width choice.
         width: WidthChoice,
-        /// Per-variable width requests, if any.
-        widths: Option<&'a WidthMap>,
+        /// Per-variable width requests (empty for none).
+        widths: &'a WidthMap,
         /// Target-sort limits.
         limits: &'a SortLimits,
     },
@@ -220,10 +220,7 @@ pub(crate) fn bounded_attempt<'p>(
             widths,
             limits,
         } => {
-            let tf = match widths {
-                Some(widths) => transform_with_widths(script, bounds, width, limits, widths),
-                None => transform(script, bounds, width, limits),
-            };
+            let tf = transform_with_widths(script, bounds, width, limits, widths);
             (tf.ok().map(Cow::Owned), t0.elapsed())
         }
     };

@@ -18,6 +18,7 @@ use staub_solver::{Budget, SatResult, Solver};
 
 use crate::absint;
 use crate::pipeline::{bounded_attempt, Staub, Translation};
+use crate::transform::WidthMap;
 
 /// Which path won the portfolio race.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +127,7 @@ pub fn measure(staub: &Staub, script: &Script) -> PortfolioReport {
     let translation = Translation::At {
         bounds: &bounds,
         width: config.width_choice,
-        widths: None,
+        widths: &WidthMap::new(),
         limits: &config.limits,
     };
     let attempt = bounded_attempt(script, translation, None, config.profile, &budget);

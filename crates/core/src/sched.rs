@@ -5,7 +5,8 @@
 //! constraint is analyzed once — bound inference, the base-width
 //! transform, the bound certificate and difference-logic detection — and
 //! fanned out into K lanes: the baseline solver plus STAUB at the base
-//! (inferred or fixed) width and at escalated 2×/4× widths, optionally
+//! (inferred or fixed) width and at escalated (by default 2×/4×) widths
+//! or with per-variable refinement, optionally
 //! under several solver profiles, executed on a fixed pool of
 //! work-stealing worker threads. Every bounded lane runs the crate's one
 //! bounded attempt (translate, solve, lift and verify); the analysis
@@ -32,32 +33,34 @@
 //!   after the `L4xx` certificate lints re-derive and confirm the bound
 //!   from the original script.
 //!
-//! Instead of the blind 2×/4× escalation fan-out, [`BatchConfig::refine`]
-//! plans a single [`LaneKind::Refine`] lane per profile: a
-//! counterexample-guided loop that starts at the base width and, on each
-//! inconclusive rung, widens only the variables the failure evidence names
-//! — the unsat core's overflow guards on a bounded `unsat`, the failed
-//! assertions' and saturated variables on an unverified bounded `sat`
-//! (UppSAT-style refinement with Bromberger-style per-variable budgets).
-//! These two — the warm escalation ladder, in which a profile's bounded
-//! lanes run in ascending width on one shared engine, and the refine lane
-//! — are the only places STAUB widens and retries.
-//! Every rung is recorded as a [`RefineRung`] in the lane outcome and the
-//! JSONL report, so a refined verdict's provenance names exactly which
-//! variables earned their extra bits. When the evidence names nothing the
-//! loop falls back to globally doubling every variable, so it is never
-//! weaker than the blind ladder; the depth cap bounds it.
+//! STAUB widens and retries in one place: the bounded-lane runner, under
+//! the [`WidenPolicy`] of [`BatchConfig::widen`]. A profile's bounded lanes
+//! run rung by rung, in ascending width, on one shared warm engine.
+//! [`WidenPolicy::Global`] is the blind ladder: one `staub/xM` lane per
+//! multiplier, each a single rung that re-encodes every variable at `M`
+//! times the base width (UppSAT-style precision ladders / Bromberger-style
+//! bound escalation). [`WidenPolicy::PerVariable`] plans a single
+//! [`LaneKind::Refine`] lane per profile instead: a counterexample-guided
+//! loop that starts at the base width and, on each inconclusive rung,
+//! widens only the variables the failure evidence names — the unsat core's
+//! overflow guards on a bounded `unsat`, the failed assertions' and
+//! saturated variables on an unverified bounded `sat` (UppSAT-style
+//! refinement with Bromberger-style per-variable budgets). Every refine
+//! rung is recorded as a [`RefineRung`] in the lane outcome and the JSONL
+//! report, so a refined verdict's provenance names exactly which variables
+//! earned their extra bits. When the evidence names nothing the loop falls
+//! back to globally doubling every variable, so it is never weaker than
+//! the blind ladder; the depth cap bounds it.
 //!
 //! Every lane runs under its own wall-clock deadline *and* deterministic
-//! step budget, with at most one bounded retry on step exhaustion, so a
-//! batch degrades gracefully instead of hanging. Workers are scoped
-//! threads: when [`run_batch_with`] returns, every lane has been joined —
-//! no thread outlives the batch.
+//! step budget (per rung), so a batch degrades gracefully instead of
+//! hanging. Workers are scoped threads: when [`run_batch_with`] returns,
+//! every lane has been joined — no thread outlives the batch.
 //!
 //! Every solving entry point runs here, [`crate::Session`] checks
 //! included: a session hands its warm engine to the first profile's
-//! escalation ladder, in place of the fresh engine that ladder would
-//! otherwise build, so its checks warm-start each other.
+//! bounded lanes, in place of the fresh engine they would otherwise build,
+//! so its checks warm-start each other under either policy.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -69,7 +72,7 @@ use staub_solver::{
     SolverStats, Stn, StnStatus, UnknownReason,
 };
 
-use crate::absint::{self, BoundCertificate, DlSystem, InferredBounds};
+use crate::absint::{self, BoundCertificate, DlSystem, FragmentClass, InferredBounds};
 use crate::correspond::SortLimits;
 use crate::metrics::Metrics;
 use crate::pipeline::{bounded_attempt, Provenance, Translation, WidthChoice};
@@ -80,6 +83,31 @@ use crate::verify::{saturated_vars, verify_model};
 // ---------------------------------------------------------------------------
 // Configuration and lane taxonomy
 // ---------------------------------------------------------------------------
+
+/// How a profile's bounded lanes widen when a bounded answer is
+/// inconclusive (§6.2).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WidenPolicy {
+    /// The blind ladder: besides the base-width `staub/x1` lane, one
+    /// `staub/xM` lane per multiplier `M` at `M` times the base width
+    /// (e.g. `[2, 4]`). An escalation is skipped when the base width
+    /// cannot be resolved or the escalated width exceeds
+    /// [`SortLimits::max_bv_width`].
+    Global(Vec<u32>),
+    /// One counterexample-guided [`LaneKind::Refine`] lane that widens
+    /// only the variables the failure evidence names, for at most `depth`
+    /// rungs after the base attempt. See the module docs.
+    PerVariable {
+        /// Maximum refinement rungs after the base attempt.
+        depth: u32,
+    },
+}
+
+impl WidenPolicy {
+    /// The refine depth a per-variable policy gets when none is named
+    /// (`staub batch --refine`).
+    pub const DEFAULT_DEPTH: u32 = 5;
+}
 
 /// Configuration of a batch run.
 #[derive(Debug, Clone)]
@@ -93,10 +121,10 @@ pub struct BatchConfig {
     pub steps: u64,
     /// Base width selection for the primary STAUB lane.
     pub width_choice: WidthChoice,
-    /// Width multipliers for escalated STAUB lanes (e.g. `[2, 4]`). An
-    /// escalation is skipped when the base width cannot be resolved or the
-    /// escalated width exceeds [`SortLimits::max_bv_width`].
-    pub escalations: Vec<u32>,
+    /// How the bounded lanes widen past the base width: the blind
+    /// `staub/xM` ladder or one refine lane per profile (baseline and
+    /// complete lanes are planned either way).
+    pub widen: WidenPolicy,
     /// Solver profiles to fan lanes out under (usually one; both for the
     /// paper's Zed ∩ Cove experiments).
     pub profiles: Vec<SolverProfile>,
@@ -106,19 +134,8 @@ pub struct BatchConfig {
     /// measurement runs that need every lane's full timing (the bench
     /// harness does this so Table 2/3 metrics stay undistorted).
     pub cancel_losers: bool,
-    /// One bounded retry with a fresh step budget when a lane exhausts its
-    /// steps without an answer (graceful degradation, not a hang: the
-    /// retry budget is the same size and is itself cancellable).
-    pub retry: bool,
     /// Target-sort limits for the STAUB lanes.
     pub limits: SortLimits,
-    /// Replace the blind escalation lanes with one counterexample-guided
-    /// [`LaneKind::Refine`] lane per profile (baseline and complete lanes
-    /// are planned as usual). See the module docs.
-    pub refine: bool,
-    /// Maximum refinement rungs after the base attempt (only read when
-    /// `refine` is set).
-    pub refine_depth: u32,
     /// Plan a complete difference-logic STN lane, first in plan order, when
     /// the detector recognizes the constraint as a conjunction of
     /// `x - y ▷◁ c` atoms. Both its verdicts are trusted: `sat` models are
@@ -134,14 +151,11 @@ impl Default for BatchConfig {
             timeout: Duration::from_secs(1),
             steps: 4_000_000,
             width_choice: WidthChoice::Inferred,
-            escalations: vec![2, 4],
+            widen: WidenPolicy::Global(vec![2, 4]),
             profiles: vec![SolverProfile::Zed],
             include_baseline: true,
             cancel_losers: true,
-            retry: false,
             limits: SortLimits::default(),
-            refine: false,
-            refine_depth: 5,
             dl: true,
         }
     }
@@ -292,16 +306,18 @@ pub struct RefineRung {
     /// on the final rung, or when no widening was possible).
     pub widened: Vec<String>,
     /// Node width of this rung's encoding (bitvector width, or `eb + sb`
-    /// for real constraints).
+    /// for real constraints); `0` when the rung had no encoding.
     pub max_width: u32,
     /// Total variable-bit footprint of this rung's encoding (the sum of
-    /// per-variable declared widths) — the quantity refinement minimises.
+    /// per-variable declared widths) — the quantity refinement minimises;
+    /// `0` when the rung had no encoding.
     pub total_bits: u64,
     /// Deterministic steps this rung consumed.
     pub steps: u64,
     /// How the rung's bounded attempt ended (`sat-verified`,
-    /// `bounded-unsat`, `unverified-sat`, `unknown`, `cancelled`,
-    /// `not-applicable`).
+    /// `bounded-unsat`, `unverified-sat`, `unknown`, `cancelled`, or
+    /// `not-applicable` when the constraint had no bounded counterpart at
+    /// the rung's widths).
     pub verdict: &'static str,
 }
 
@@ -316,10 +332,8 @@ pub struct LaneOutcome {
     pub model: Option<Model>,
     /// Wall-clock time the lane spent.
     pub elapsed: Duration,
-    /// Deterministic steps consumed (across the retry, if any).
+    /// Deterministic steps consumed (across every rung of the lane).
     pub steps_used: u64,
-    /// Whether the bounded retry ran.
-    pub retried: bool,
     /// Time from the sibling cancellation request to this lane actually
     /// stopping (only set when the lane was cancelled).
     pub cancel_latency: Option<Duration>,
@@ -329,8 +343,7 @@ pub struct LaneOutcome {
     pub t_post: Duration,
     /// Verification time (STAUB lanes; zero for baseline).
     pub t_check: Duration,
-    /// Solver-internal counters accumulated across the lane's attempts
-    /// (both the initial run and the retry, if any).
+    /// Solver-internal counters accumulated across the lane's rungs.
     pub stats: SolverStats,
     /// Rung-by-rung provenance of a [`LaneKind::Refine`] lane (empty for
     /// every other lane kind).
@@ -345,7 +358,6 @@ impl LaneOutcome {
             model: None,
             elapsed: Duration::ZERO,
             steps_used: 0,
-            retried: false,
             cancel_latency: cancel.latency(),
             t_trans: Duration::ZERO,
             t_post: Duration::ZERO,
@@ -412,10 +424,12 @@ pub struct BatchReport {
     /// For `unknown` verdicts, why: `"budget"` when a complete lane
     /// (certified-width or difference-logic) was planned — the fragment is
     /// decidable within limits, the budget just ran out;
-    /// `"linear-non-dl"` when the constraint is linear but neither
-    /// complete lane was eligible (certificate too wide, atoms not
-    /// difference-shaped); `"ineligible-fragment"` when the constraint is
-    /// not even linear. `None` for decided constraints.
+    /// `"linear-non-dl"` when the constraint is linear over one sort but
+    /// neither complete lane was eligible (certificate too wide, atoms not
+    /// difference-shaped); `"mixed-sorts"` when it is linear over both
+    /// `Int` and `Real`, which no lane decides; `"ineligible-fragment"`
+    /// when the constraint is not even linear. `None` for decided
+    /// constraints.
     pub unknown_reason: Option<&'static str>,
 }
 
@@ -599,10 +613,9 @@ impl BatchReport {
             out.push(',');
             push_json_str(&mut out, "verdict", lane.verdict.name());
             out.push_str(&format!(
-                ",\"ms\":{:.3},\"steps\":{},\"retried\":{},\"cancel_latency_ms\":{}",
+                ",\"ms\":{:.3},\"steps\":{},\"cancel_latency_ms\":{}",
                 lane.elapsed.as_secs_f64() * 1e3,
                 lane.steps_used,
-                lane.retried,
                 lane.cancel_latency.map_or_else(
                     || "null".to_string(),
                     |d| format!("{:.3}", d.as_secs_f64() * 1e3)
@@ -725,10 +738,10 @@ impl Analysis {
     fn translation<'s: 'w, 'w>(
         &'s self,
         width: WidthChoice,
-        widths: Option<&'w WidthMap>,
+        widths: &'w WidthMap,
         limits: &'w SortLimits,
     ) -> Translation<'s, 'w> {
-        if width == self.choice && widths.is_none_or(WidthMap::is_empty) {
+        if width == self.choice && widths.is_empty() {
             Translation::Planned(&self.base, self.t_base)
         } else {
             Translation::At {
@@ -751,11 +764,12 @@ fn complete_width(certificate: &BoundCertificate, limits: &SortLimits) -> Option
 }
 
 /// Plans the lane fan-out for one constraint: per profile, an optional
-/// baseline lane, the base STAUB lane, deduplicated escalated lanes
-/// within the width limits, and — for pure-LIA constraints whose certified
-/// width fits — a complete lane whose bounded `unsat` can be promoted.
-/// Under [`BatchConfig::refine`] the base-plus-escalations fan-out is
-/// replaced by a single counterexample-guided refine lane per profile.
+/// baseline lane, the bounded lanes of [`BatchConfig::widen`], and — for
+/// pure-LIA constraints whose certified width fits — a complete lane whose
+/// bounded `unsat` can be promoted. [`WidenPolicy::Global`] plans the base
+/// STAUB lane and its deduplicated escalated lanes within the width
+/// limits; [`WidenPolicy::PerVariable`] plans a single counterexample-guided
+/// refine lane.
 pub fn plan_lanes(script: &Script, config: &BatchConfig) -> Vec<LaneSpec> {
     plan(&Analysis::of(script, config), config)
 }
@@ -782,35 +796,36 @@ fn plan(analysis: &Analysis, config: &BatchConfig) -> Vec<LaneSpec> {
                 profile,
             });
         }
-        if config.refine {
-            lanes.push(LaneSpec {
+        match &config.widen {
+            WidenPolicy::PerVariable { depth } => lanes.push(LaneSpec {
                 kind: LaneKind::Refine {
                     width: config.width_choice,
-                    depth: config.refine_depth,
+                    depth: *depth,
                 },
                 profile,
-            });
-        } else {
-            lanes.push(LaneSpec {
-                kind: LaneKind::Staub {
-                    width: config.width_choice,
-                    escalation: 1,
-                },
-                profile,
-            });
-            if let Some(w0) = analysis.base_width() {
-                let mut seen = vec![w0];
-                for &m in &config.escalations {
-                    let w = w0.saturating_mul(m);
-                    if m > 1 && w <= config.limits.max_bv_width && !seen.contains(&w) {
-                        seen.push(w);
-                        lanes.push(LaneSpec {
-                            kind: LaneKind::Staub {
-                                width: WidthChoice::Fixed(w),
-                                escalation: m,
-                            },
-                            profile,
-                        });
+            }),
+            WidenPolicy::Global(multipliers) => {
+                lanes.push(LaneSpec {
+                    kind: LaneKind::Staub {
+                        width: config.width_choice,
+                        escalation: 1,
+                    },
+                    profile,
+                });
+                if let Some(w0) = analysis.base_width() {
+                    let mut seen = vec![w0];
+                    for &m in multipliers {
+                        let w = w0.saturating_mul(m);
+                        if m > 1 && w <= config.limits.max_bv_width && !seen.contains(&w) {
+                            seen.push(w);
+                            lanes.push(LaneSpec {
+                                kind: LaneKind::Staub {
+                                    width: WidthChoice::Fixed(w),
+                                    escalation: m,
+                                },
+                                profile,
+                            });
+                        }
                     }
                 }
             }
@@ -830,10 +845,6 @@ fn plan(analysis: &Analysis, config: &BatchConfig) -> Vec<LaneSpec> {
 // ---------------------------------------------------------------------------
 // Lane execution
 // ---------------------------------------------------------------------------
-
-fn out_of_steps(result: &SatResult, budget: &Budget) -> bool {
-    matches!(result, SatResult::Unknown(UnknownReason::BudgetExhausted)) && !budget.is_cancelled()
-}
 
 /// Decides whether a complete lane's bounded `unsat` at `used_width` may
 /// be promoted to a trusted `unsat`: the planned certificate must pass
@@ -948,7 +959,6 @@ fn run_dl_lane(cell: &Cell<'_>, spec: &LaneSpec, config: &BatchConfig) -> LaneOu
         model,
         elapsed: start.elapsed(),
         steps_used: budget.steps_used(),
-        retried: false,
         t_trans: cell.analysis.t_dl,
         t_post,
         t_check,
@@ -957,134 +967,51 @@ fn run_dl_lane(cell: &Cell<'_>, spec: &LaneSpec, config: &BatchConfig) -> LaneOu
     }
 }
 
-/// Executes one lane to completion (or cancellation). Bounded lanes solve
-/// on `engine` when one is given (a ladder's shared engine) and on a fresh
-/// solver otherwise; a refine lane always owns its engine, because its
-/// width map must drive the blast.
+/// Executes one lane to completion (or cancellation). Bounded lanes run
+/// on `engine` when one is given (see [`run_bounded_lane`]).
 fn run_lane(
     cell: &Cell<'_>,
     spec: &LaneSpec,
     config: &BatchConfig,
-    mut engine: Option<&mut BvSession>,
+    engine: Option<&mut BvSession>,
     metrics: &Metrics,
 ) -> LaneOutcome {
-    let (script, cancel) = (cell.script, &cell.cancel);
-    let start = Instant::now();
-    let mut retried = false;
-    let mut steps_used = 0u64;
-    let mut stats = SolverStats::default();
-    match &spec.kind {
-        LaneKind::Baseline => {
-            let solver = Solver::new(spec.profile);
-            let mut budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-            let mut outcome = solver.solve_with_budget(script, &budget);
-            steps_used += budget.steps_used();
-            stats.merge(&outcome.stats);
-            if config.retry && out_of_steps(&outcome.result, &budget) {
-                retried = true;
-                budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-                outcome = solver.solve_with_budget(script, &budget);
-                steps_used += budget.steps_used();
-                stats.merge(&outcome.stats);
-            }
-            let (verdict, model) = match outcome.result {
-                SatResult::Sat(m) => (LaneVerdict::Sat, Some(m)),
-                SatResult::Unsat => (LaneVerdict::Unsat, None),
-                SatResult::Unknown(_) if cancel.is_cancelled() => (LaneVerdict::Cancelled, None),
-                SatResult::Unknown(_) => (LaneVerdict::Unknown, None),
-            };
-            let elapsed = start.elapsed();
-            LaneOutcome {
-                spec: spec.clone(),
-                cancel_latency: (verdict == LaneVerdict::Cancelled)
-                    .then(|| cancel.latency())
-                    .flatten(),
-                verdict,
-                model,
-                elapsed,
-                steps_used,
-                retried,
-                t_trans: Duration::ZERO,
-                t_post: elapsed,
-                t_check: Duration::ZERO,
-                stats,
-                rungs: Vec::new(),
-            }
-        }
-        LaneKind::Refine { width, depth } => {
-            run_refine_lane(cell, spec, *width, *depth, config, metrics)
-        }
+    match spec.kind {
+        LaneKind::Baseline => run_baseline_lane(cell, spec, config),
         LaneKind::DiffLogic => run_dl_lane(cell, spec, config),
-        kind @ (LaneKind::Staub { .. } | LaneKind::Complete { .. }) => {
-            // A complete lane is the same bounded attempt pinned to the
-            // certified width; only its unsat handling differs below.
-            let (width, promote_at) = match kind {
-                LaneKind::Staub { width, .. } => (*width, None),
-                LaneKind::Complete { width } => (WidthChoice::Fixed(*width), Some(*width)),
-                LaneKind::Baseline | LaneKind::DiffLogic | LaneKind::Refine { .. } => {
-                    unreachable!("handled above")
-                }
-            };
-            let analysis = &cell.analysis;
-            let mut attempt_under = |budget: &Budget| {
-                let translation = analysis.translation(width, None, &config.limits);
-                bounded_attempt(
-                    script,
-                    translation,
-                    engine.as_deref_mut(),
-                    spec.profile,
-                    budget,
-                )
-            };
-            let mut budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-            let mut attempt = attempt_under(&budget);
-            steps_used += budget.steps_used();
-            stats.merge(&attempt.stats);
-            let needs_retry = attempt
-                .result
-                .as_ref()
-                .is_some_and(|r| out_of_steps(r, &budget));
-            if config.retry && needs_retry {
-                retried = true;
-                budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-                attempt = attempt_under(&budget);
-                steps_used += budget.steps_used();
-                stats.merge(&attempt.stats);
-            }
-            let verdict = match (&attempt.result, &attempt.model) {
-                (_, Some(_)) => LaneVerdict::SatVerified,
-                (None, _) => LaneVerdict::NotApplicable,
-                // A bounded unsat is promoted to a trusted unsat only on a
-                // complete lane whose certificate survives the independent
-                // L4xx re-derivation at the width actually used.
-                (Some(SatResult::Unsat), _) => match promote_at {
-                    Some(w) if certificate_promotes(script, &analysis.certificate, w) => {
-                        LaneVerdict::Unsat
-                    }
-                    _ => LaneVerdict::BoundedUnsat,
-                },
-                (Some(SatResult::Unknown(_)), _) if cancel.is_cancelled() => LaneVerdict::Cancelled,
-                // An unverified bounded `sat` is as inconclusive as a
-                // timeout (§4.4 case 2: semantics loss).
-                _ => LaneVerdict::Unknown,
-            };
-            LaneOutcome {
-                spec: spec.clone(),
-                cancel_latency: (verdict == LaneVerdict::Cancelled)
-                    .then(|| cancel.latency())
-                    .flatten(),
-                verdict,
-                model: attempt.model,
-                elapsed: start.elapsed(),
-                steps_used,
-                retried,
-                t_trans: analysis.t_infer + attempt.t_trans,
-                t_post: attempt.t_post,
-                t_check: attempt.t_check,
-                stats,
-                rungs: Vec::new(),
-            }
+        LaneKind::Staub { .. } | LaneKind::Complete { .. } | LaneKind::Refine { .. } => {
+            run_bounded_lane(cell, spec, config, engine, metrics)
         }
+    }
+}
+
+/// Executes the baseline lane: the original constraint on a fresh solver.
+fn run_baseline_lane(cell: &Cell<'_>, spec: &LaneSpec, config: &BatchConfig) -> LaneOutcome {
+    let cancel = &cell.cancel;
+    let start = Instant::now();
+    let budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
+    let outcome = Solver::new(spec.profile).solve_with_budget(cell.script, &budget);
+    let (verdict, model) = match outcome.result {
+        SatResult::Sat(m) => (LaneVerdict::Sat, Some(m)),
+        SatResult::Unsat => (LaneVerdict::Unsat, None),
+        SatResult::Unknown(_) if cancel.is_cancelled() => (LaneVerdict::Cancelled, None),
+        SatResult::Unknown(_) => (LaneVerdict::Unknown, None),
+    };
+    let elapsed = start.elapsed();
+    LaneOutcome {
+        spec: spec.clone(),
+        cancel_latency: (verdict == LaneVerdict::Cancelled)
+            .then(|| cancel.latency())
+            .flatten(),
+        verdict,
+        model,
+        elapsed,
+        steps_used: budget.steps_used(),
+        t_trans: Duration::ZERO,
+        t_post: elapsed,
+        t_check: Duration::ZERO,
+        stats: outcome.stats,
+        rungs: Vec::new(),
     }
 }
 
@@ -1156,37 +1083,50 @@ fn widen_suspects(
     widened
 }
 
-/// Executes a [`LaneKind::Refine`] lane: a warm per-variable refinement
-/// ladder. Each rung is one bounded attempt with the accumulated
-/// [`WidthMap`] (rung 0 solves the planned base transform), solved through
-/// a persistent [`BvSession`] (so widened rungs reuse the low-bit encoding
-/// and learned clauses), and on an inconclusive verdict widens only the
-/// implicated variables:
+/// Executes a bounded lane — `staub/xM`, complete or refine — rung by
+/// rung. Each rung is one bounded attempt under its own step budget,
+/// solved on `engine` when one is given (a profile's warm engine, so a
+/// rung re-uses the low-bit encoding and learned clauses of every rung
+/// before it) and on a fresh solver otherwise.
+///
+/// A `staub/xM` or complete lane is one rung; a complete lane's bounded
+/// `unsat` is promoted to a trusted `unsat` when its certificate passes
+/// [`certificate_promotes`]. A [`LaneKind::Refine`] lane starts at the base
+/// width (rung 0 solves the planned base transform) and on an inconclusive
+/// rung widens, in its [`WidthMap`], only the implicated variables:
 ///
 /// * bounded `unsat` → the unsat core's assertions (overflow guards
 ///   first); a core-free unsat widens everything (global fallback);
 /// * bounded `sat` that fails verification → the failed assertions' free
 ///   variables plus the saturated variables of the bounded model.
 ///
-/// The loop stops at a sound verdict, on cancellation, when widening makes
-/// no progress (every implicated variable is at `max_bv_width`), when the
+/// It stops at a sound verdict, on cancellation, when widening makes no
+/// progress (every implicated variable is at `max_bv_width`), when the
 /// same guard-free unsat core survives a doubling of its own variables
 /// (width-independent conflict — further rungs would refute it again), or
-/// at the depth cap. Rung-by-rung provenance is recorded in
+/// at the depth cap. A rung with no bounded counterpart (a fixed base too
+/// narrow for a constant) is recorded as `not-applicable`, and the next
+/// rung doubles the base. Only a refine lane records its rungs, in
 /// [`LaneOutcome::rungs`] and the `refine.*` metrics.
-fn run_refine_lane(
+fn run_bounded_lane(
     cell: &Cell<'_>,
     spec: &LaneSpec,
-    base: WidthChoice,
-    depth_cap: u32,
     config: &BatchConfig,
+    mut engine: Option<&mut BvSession>,
     metrics: &Metrics,
 ) -> LaneOutcome {
     let (script, analysis, cancel) = (cell.script, &cell.analysis, &cell.cancel);
     let start = Instant::now();
-    let mut engine = BvSession::new(spec.profile.sat_config());
+    // A complete lane is the one-rung lane pinned to the certified width;
+    // only its unsat handling differs.
+    let (mut choice, promote_at, depth_cap) = match spec.kind {
+        LaneKind::Staub { width, .. } => (width, None, 0),
+        LaneKind::Complete { width } => (WidthChoice::Fixed(width), Some(width), 0),
+        LaneKind::Refine { width, depth } => (width, None, depth),
+        LaneKind::Baseline | LaneKind::DiffLogic => unreachable!("not a bounded lane"),
+    };
+    let refine = matches!(spec.kind, LaneKind::Refine { .. });
     let mut widths = WidthMap::new();
-    let mut choice = base;
     let mut rungs: Vec<RefineRung> = Vec::new();
     let mut verdict = LaneVerdict::Unknown;
     let mut model: Option<Model> = None;
@@ -1208,16 +1148,57 @@ fn run_refine_lane(
             break;
         }
         let budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-        let translation = analysis.translation(choice, Some(&widths), &config.limits);
+        let translation = analysis.translation(choice, &widths, &config.limits);
         let attempt = bounded_attempt(
             script,
             translation,
-            Some(&mut engine),
+            engine.as_deref_mut(),
             spec.profile,
             &budget,
         );
+        let rung_steps = budget.steps_used();
+        steps_used += rung_steps;
+        stats.merge(&attempt.stats);
         t_trans += attempt.t_trans;
+        t_post += attempt.t_post;
+        t_check += attempt.t_check;
+        // An unverified bounded `sat` is as inconclusive as a timeout
+        // (§4.4 case 2: semantics loss).
+        let unverified =
+            attempt.model.is_none() && matches!(attempt.result, Some(SatResult::Sat(_)));
+        verdict = match (&attempt.result, &attempt.model) {
+            (_, Some(_)) => LaneVerdict::SatVerified,
+            (None, _) => LaneVerdict::NotApplicable,
+            // A bounded unsat is promoted to a trusted unsat only on a
+            // complete lane whose certificate survives the independent
+            // L4xx re-derivation at the width actually used.
+            (Some(SatResult::Unsat), _) => match promote_at {
+                Some(w) if certificate_promotes(script, &analysis.certificate, w) => {
+                    LaneVerdict::Unsat
+                }
+                _ => LaneVerdict::BoundedUnsat,
+            },
+            (Some(SatResult::Unknown(_)), _) if cancel.is_cancelled() => LaneVerdict::Cancelled,
+            _ => LaneVerdict::Unknown,
+        };
+        model = attempt.model;
+        if !refine {
+            break;
+        }
+        let mut rung = RefineRung {
+            depth,
+            widened: Vec::new(),
+            max_width: 0,
+            total_bits: 0,
+            steps: rung_steps,
+            verdict: if unverified {
+                "unverified-sat"
+            } else {
+                verdict.name()
+            },
+        };
         let Some(tf) = attempt.transformed.as_deref() else {
+            rungs.push(rung);
             // A narrow fixed base can fail outright (e.g. a constant too
             // wide for it). Retrying at double the base is the
             // global-doubling fallback; an inferred base already picked
@@ -1227,102 +1208,57 @@ fn run_refine_lane(
                     choice = WidthChoice::Fixed(w.saturating_mul(2));
                     continue;
                 }
-                _ => {
-                    verdict = LaneVerdict::NotApplicable;
-                    break;
-                }
+                _ => break,
             }
         };
-        let node_width = tf
+        rung.max_width = tf
             .bv_width
             .or(tf.fp_format.map(|(eb, sb)| eb + sb))
             .unwrap_or(0);
-        let total_bits: u64 = tf.var_widths.iter().map(|&(_, w)| u64::from(w)).sum();
+        rung.total_bits = tf.var_widths.iter().map(|&(_, w)| u64::from(w)).sum();
         last_widths.clone_from(&tf.var_widths);
-        t_post += attempt.t_post;
-        t_check += attempt.t_check;
-        let rung_steps = budget.steps_used();
-        steps_used += rung_steps;
-        stats.merge(&attempt.stats);
-        let mut rung = RefineRung {
-            depth,
-            widened: Vec::new(),
-            max_width: node_width,
-            total_bits,
-            steps: rung_steps,
-            verdict: "unknown",
-        };
-        match &attempt.result {
-            Some(SatResult::Sat(bounded_model)) => {
-                if let Some(m) = attempt.model {
-                    rung.verdict = "sat-verified";
-                    rungs.push(rung);
-                    verdict = LaneVerdict::SatVerified;
-                    model = Some(m);
-                    break;
-                }
-                // An unverified bounded sat: the model lies about the
-                // original constraint, so some variable's bounded value is
-                // an artifact of its width.
-                rung.verdict = "unverified-sat";
+        let suspects = match &attempt.result {
+            // The model lies about the original constraint, so some
+            // variable's bounded value is an artifact of its width.
+            Some(SatResult::Sat(bounded_model)) if unverified => {
                 let mut suspects = attempt.report.map(|r| r.suspect_vars).unwrap_or_default();
                 for name in saturated_vars(tf, bounded_model) {
                     if !suspects.contains(&name) {
                         suspects.push(name);
                     }
                 }
-                rung.widened =
-                    widen_suspects(tf, &suspects, &mut widths, config.limits.max_bv_width);
-                let stuck = rung.widened.is_empty();
-                rungs.push(rung);
-                verdict = LaneVerdict::Unknown;
-                if stuck {
-                    break;
-                }
+                Some(suspects)
             }
             Some(SatResult::Unsat) => {
-                rung.verdict = "bounded-unsat";
-                verdict = LaneVerdict::BoundedUnsat;
-                let core: &[usize] = if staub_solver::is_bit_blastable(&tf.script) {
-                    engine.last_unsat_core()
-                } else {
-                    &[]
+                let core: &[usize] = match &engine {
+                    Some(e) if staub_solver::is_bit_blastable(&tf.script) => e.last_unsat_core(),
+                    _ => &[],
                 };
-                let guard_free = !core.is_empty() && core.iter().all(|&i| i >= tf.guard_count);
                 let suspects = core_suspects(tf, core);
-                if guard_free {
-                    let mut vars = suspects.clone();
-                    vars.sort_unstable();
-                    if prev_guard_free.as_ref() == Some(&vars) {
-                        // The same guard-free conflict survived widening
-                        // its own variables: the width bound is not what
-                        // refutes it, so climbing further cannot help.
-                        rungs.push(rung);
-                        break;
-                    }
-                    prev_guard_free = Some(vars);
-                } else {
-                    prev_guard_free = None;
-                }
-                rung.widened =
-                    widen_suspects(tf, &suspects, &mut widths, config.limits.max_bv_width);
-                let stuck = rung.widened.is_empty();
-                rungs.push(rung);
-                if stuck {
-                    break;
-                }
+                let guard_free = (!core.is_empty() && core.iter().all(|&i| i >= tf.guard_count))
+                    .then(|| {
+                        let mut vars = suspects.clone();
+                        vars.sort_unstable();
+                        vars
+                    });
+                // The same guard-free conflict survived widening its own
+                // variables: the width bound is not what refutes it, so
+                // climbing further cannot help.
+                let repeated = guard_free.is_some() && guard_free == prev_guard_free;
+                prev_guard_free = guard_free;
+                (!repeated).then_some(suspects)
             }
-            _ => {
-                if cancel.is_cancelled() {
-                    rung.verdict = "cancelled";
-                    verdict = LaneVerdict::Cancelled;
-                } else {
-                    rung.verdict = "unknown";
-                    verdict = LaneVerdict::Unknown;
-                }
-                rungs.push(rung);
-                break;
-            }
+            // A verified model, cancellation or an exhausted budget.
+            _ => None,
+        };
+        if let Some(suspects) = suspects {
+            rung.widened = widen_suspects(tf, &suspects, &mut widths, config.limits.max_bv_width);
+        }
+        // A rung that widened nothing ends the lane.
+        let done = rung.widened.is_empty();
+        rungs.push(rung);
+        if done {
+            break;
         }
     }
     if metrics.is_enabled() && !rungs.is_empty() {
@@ -1344,7 +1280,6 @@ fn run_refine_lane(
         model,
         elapsed: start.elapsed(),
         steps_used,
-        retried: false,
         t_trans,
         t_post,
         t_check,
@@ -1357,9 +1292,9 @@ fn run_refine_lane(
 // The scheduler
 // ---------------------------------------------------------------------------
 
-/// One unit of scheduling: a *group* of lane indices of one cell. Most
-/// groups are singletons (independently racing lanes); a profile's
-/// bounded lanes form one warm escalation ladder when there are several.
+/// One unit of scheduling: a *group* of lane indices of one cell. Baseline
+/// and DL lanes are singletons (independently racing lanes); a profile's
+/// bounded lanes form one group (see [`execute_job`]).
 #[derive(Debug, Clone, Copy)]
 struct Job {
     cell: usize,
@@ -1383,7 +1318,8 @@ struct Cell<'a> {
     specs: Vec<LaneSpec>,
     /// Lane indices grouped into schedulable jobs (see [`Job`]).
     groups: Vec<Vec<usize>>,
-    /// The caller's warm engine, until the first profile's ladder takes it.
+    /// The caller's warm engine, until the first profile's bounded group
+    /// takes it.
     warm: Mutex<Option<&'a mut BvSession>>,
     cancel: CancelFlag,
     started: Instant,
@@ -1557,23 +1493,23 @@ fn run_cells<'a>(
                 },
                 None => BatchVerdict::Unknown,
             };
-            let fragment = cell.analysis.certificate.fragment.name();
+            let class = cell.analysis.certificate.fragment;
             let unknown_reason = match verdict {
                 BatchVerdict::Unknown => {
                     // Was the constraint within a complete lane's reach? If
                     // so, only the budget stood between it and a verdict.
                     // Otherwise, distinguish "linear but no complete lane
-                    // fit" from "not linear at all".
+                    // fit" from "no lane decides mixed Int+Real sorts" and
+                    // from "not linear at all".
                     let eligible = cell
                         .specs
                         .iter()
                         .any(|s| matches!(s.kind, LaneKind::Complete { .. } | LaneKind::DiffLogic));
-                    Some(if eligible {
-                        "budget"
-                    } else if fragment != "ineligible" {
-                        "linear-non-dl"
-                    } else {
-                        "ineligible-fragment"
+                    Some(match class {
+                        _ if eligible => "budget",
+                        FragmentClass::Mixed => "mixed-sorts",
+                        FragmentClass::Ineligible => "ineligible-fragment",
+                        _ => "linear-non-dl",
                     })
                 }
                 _ => None,
@@ -1587,7 +1523,7 @@ fn run_cells<'a>(
                     .finished_at
                     .map_or(Duration::ZERO, |t| t.duration_since(cell.started)),
                 time_to_answer: state.time_to_answer,
-                fragment,
+                fragment: class.name(),
                 unknown_reason,
             }
         })
@@ -1625,52 +1561,44 @@ fn next_job(wid: usize, queues: &[Mutex<VecDeque<Job>>]) -> Option<Job> {
 fn execute_job(job: Job, cells: &[Cell<'_>], config: &BatchConfig, metrics: &Metrics) {
     let cell = &cells[job.cell];
     let group = &cell.groups[job.group];
-    if group.len() == 1 {
-        // A lone lane solves on a fresh solver.
-        let lane = group[0];
-        let spec = &cell.specs[lane];
-        let outcome = if config.cancel_losers && cell.cancel.is_cancelled() {
-            metrics.incr("sched.lane_skipped", 1);
-            LaneOutcome::skipped(spec, &cell.cancel)
-        } else {
-            metrics.incr("sched.lane_started", 1);
-            run_lane(cell, spec, config, None, metrics)
-        };
-        submit(cell, lane, outcome, config, metrics);
-        return;
-    }
-    // An escalation ladder: this profile's bounded lanes run sequentially
-    // (ascending width, plan order) on one warm engine, so each rung
-    // re-uses the previous rung's low-bit encoding, learned clauses,
-    // phases, and activities. The ladder stops at the first sound rung.
-    // The first profile's ladder runs on the caller's engine when there
-    // is one, so it also re-uses the caller's earlier checks.
-    metrics.incr("sched.ladder_jobs", 1);
-    let profile = cell.specs[group[0]].profile;
-    let caller = match config.profiles.first() {
-        Some(&first) if first == profile => cell.warm.lock().expect("warm lock").take(),
-        _ => None,
-    };
+    // A profile's bounded group runs in plan order (ascending width) on one
+    // warm engine when it holds several lanes or a refine lane, so each
+    // rung re-uses the previous rungs' low-bit encoding, learned clauses,
+    // phases, and activities; it stops at the first sound lane. The first
+    // profile's group runs on the caller's engine when there is one, so it
+    // also re-uses the caller's earlier checks. Any other lone lane solves
+    // on a fresh solver.
+    let first = &cell.specs[group[0]];
+    let warm = group.len() > 1 || matches!(first.kind, LaneKind::Refine { .. });
     let mut fresh = None;
-    let engine = match caller {
-        Some(engine) => engine,
-        None => fresh.insert(BvSession::new(profile.sat_config())),
-    };
+    let mut engine = None;
+    if warm {
+        metrics.incr("sched.ladder_jobs", 1);
+        let caller = match config.profiles.first() {
+            Some(&profile) if profile == first.profile => {
+                cell.warm.lock().expect("warm lock").take()
+            }
+            _ => None,
+        };
+        engine = Some(match caller {
+            Some(engine) => engine,
+            None => fresh.insert(BvSession::new(first.profile.sat_config())),
+        });
+    }
     let mut answered = false;
     for &lane in group {
         let spec = &cell.specs[lane];
-        let decided = answered || (config.cancel_losers && cell.cancel.is_cancelled());
-        let outcome = if decided {
+        let outcome = if answered || (config.cancel_losers && cell.cancel.is_cancelled()) {
             metrics.incr("sched.lane_skipped", 1);
             LaneOutcome::skipped(spec, &cell.cancel)
         } else {
             metrics.incr("sched.lane_started", 1);
-            metrics.incr("sched.warm_rungs", 1);
-            run_lane(cell, spec, config, Some(&mut *engine), metrics)
+            if warm {
+                metrics.incr("sched.warm_rungs", 1);
+            }
+            run_lane(cell, spec, config, engine.as_deref_mut(), metrics)
         };
-        if outcome.verdict.is_sound() {
-            answered = true;
-        }
+        answered |= outcome.verdict.is_sound();
         submit(cell, lane, outcome, config, metrics);
     }
 }
@@ -1803,12 +1731,15 @@ mod tests {
             "sq49",
             "(declare-fun x () Int)(assert (= (* x x) 49))",
         )];
-        for refine in [false, true] {
+        let per_variable = WidenPolicy::PerVariable {
+            depth: WidenPolicy::DEFAULT_DEPTH,
+        };
+        for widen in [BatchConfig::default().widen, per_variable] {
             let config = BatchConfig {
                 threads: 1,
                 include_baseline: false,
                 cancel_losers: false,
-                refine,
+                widen,
                 ..quick_config()
             };
             let report = &run_batch_with(&items, &config, &RunOptions::default())[0];
@@ -1823,7 +1754,9 @@ mod tests {
     fn refine_plan_replaces_escalations() {
         let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 49))").unwrap();
         let config = BatchConfig {
-            refine: true,
+            widen: WidenPolicy::PerVariable {
+                depth: WidenPolicy::DEFAULT_DEPTH,
+            },
             ..quick_config()
         };
         let lanes = plan_lanes(&script, &config);
@@ -1852,7 +1785,9 @@ mod tests {
             ..quick_config()
         };
         let refine_config = BatchConfig {
-            refine: true,
+            widen: WidenPolicy::PerVariable {
+                depth: WidenPolicy::DEFAULT_DEPTH,
+            },
             ..blind_config.clone()
         };
         let blind = run_batch_with(&items, &blind_config, &RunOptions::default());
@@ -1903,8 +1838,7 @@ mod tests {
             width_choice: WidthChoice::Fixed(4),
             include_baseline: false,
             cancel_losers: false,
-            refine: true,
-            refine_depth: 2,
+            widen: WidenPolicy::PerVariable { depth: 2 },
             ..quick_config()
         };
         let report = &run_batch_with(&items, &config, &RunOptions::default())[0];
@@ -1919,6 +1853,52 @@ mod tests {
         for pair in lane.rungs.windows(2) {
             assert!(pair[1].total_bits > pair[0].total_bits);
         }
+    }
+
+    #[test]
+    fn refine_records_every_attempt_from_a_narrow_fixed_base() {
+        // 1000 needs 11 signed bits: the 4- and 8-bit bases have no
+        // bounded counterpart, so the lane doubles its base twice and
+        // verifies at 16 bits. Every attempt is a rung, numbered densely.
+        let items = [item("k1000", "(declare-fun x () Int)(assert (= x 1000))")];
+        let config = BatchConfig {
+            threads: 1,
+            width_choice: WidthChoice::Fixed(4),
+            include_baseline: false,
+            cancel_losers: false,
+            widen: WidenPolicy::PerVariable {
+                depth: WidenPolicy::DEFAULT_DEPTH,
+            },
+            ..quick_config()
+        };
+        let metrics = Arc::new(Metrics::new());
+        let report = &run_batch_with(
+            &items,
+            &config,
+            &RunOptions {
+                metrics: Some(Arc::clone(&metrics)),
+            },
+        )[0];
+        let lane = report
+            .lanes
+            .iter()
+            .find(|l| matches!(l.spec.kind, LaneKind::Refine { .. }))
+            .expect("refine lane planned");
+        assert_eq!(lane.verdict, LaneVerdict::SatVerified);
+        let verdicts: Vec<&str> = lane.rungs.iter().map(|r| r.verdict).collect();
+        assert_eq!(
+            verdicts,
+            ["not-applicable", "not-applicable", "sat-verified"]
+        );
+        for (i, rung) in lane.rungs.iter().enumerate() {
+            assert_eq!(rung.depth, i as u32, "{:?}", lane.rungs);
+        }
+        for rung in &lane.rungs[..2] {
+            assert_eq!((rung.max_width, rung.total_bits, rung.steps), (0, 0, 0));
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counters["sched.refine_rungs"], 3);
+        assert_eq!(snap.counters["refine.depth.2"], 1);
     }
 
     #[test]
@@ -1940,7 +1920,9 @@ mod tests {
             width_choice: WidthChoice::Fixed(8),
             include_baseline: false,
             cancel_losers: false,
-            refine: true,
+            widen: WidenPolicy::PerVariable {
+                depth: WidenPolicy::DEFAULT_DEPTH,
+            },
             ..quick_config()
         };
         let report = &run_batch_with(&items, &config, &RunOptions::default())[0];
@@ -1976,7 +1958,7 @@ mod tests {
         )];
         let config = BatchConfig {
             include_baseline: false,
-            escalations: Vec::new(),
+            widen: WidenPolicy::Global(Vec::new()),
             cancel_losers: false,
             ..quick_config()
         };
@@ -2029,7 +2011,7 @@ mod tests {
         let config = BatchConfig {
             steps: 1,
             include_baseline: false,
-            escalations: Vec::new(),
+            widen: WidenPolicy::Global(Vec::new()),
             cancel_losers: false,
             ..quick_config()
         };
@@ -2055,7 +2037,7 @@ mod tests {
         )];
         let config = BatchConfig {
             include_baseline: false,
-            escalations: Vec::new(),
+            widen: WidenPolicy::Global(Vec::new()),
             cancel_losers: false,
             ..quick_config()
         };
@@ -2278,7 +2260,7 @@ mod tests {
     fn dl_lane_decides_both_verdicts_with_trusted_provenance() {
         let config = BatchConfig {
             include_baseline: false,
-            escalations: Vec::new(),
+            widen: WidenPolicy::Global(Vec::new()),
             cancel_losers: false,
             ..quick_config()
         };
@@ -2308,7 +2290,7 @@ mod tests {
             steps: 1,
             timeout: Duration::from_millis(1),
             include_baseline: false,
-            escalations: Vec::new(),
+            widen: WidenPolicy::Global(Vec::new()),
             dl: false,
             ..quick_config()
         };
@@ -2334,5 +2316,17 @@ mod tests {
         let r = run_batch_with(&nonlinear, &tight, &RunOptions::default());
         assert_eq!(r[0].verdict.name(), "unknown");
         assert_eq!(r[0].unknown_reason, Some("ineligible-fragment"));
+
+        // Linear over Int and Real together: no lane decides mixed sorts,
+        // whatever the width limit.
+        let mixed = [item(
+            "mixed",
+            "(declare-fun x () Int)(declare-fun r () Real)
+             (assert (= (* 6 x) 7))(assert (>= r 0.0))",
+        )];
+        let r = run_batch_with(&mixed, &config, &RunOptions::default());
+        assert_eq!(r[0].fragment, "mixed");
+        assert_eq!(r[0].verdict.name(), "unknown");
+        assert_eq!(r[0].unknown_reason, Some("mixed-sorts"));
     }
 }

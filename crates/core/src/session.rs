@@ -3,9 +3,9 @@
 //!
 //! Every [`Session`] check runs the scheduler ([`crate::sched`]), exactly
 //! as [`crate::run_one_with`] does, with one difference: the first
-//! profile's escalation ladder solves on the session's persistent
-//! [`BvSession`] instead of a fresh one. Across checks that engine carries
-//! forward
+//! profile's bounded lanes — the escalation ladder or the refine lane —
+//! solve on the session's persistent [`BvSession`] instead of a fresh one.
+//! Across checks that engine carries forward
 //!
 //! * the bit-blaster's **variable map** (symbol name × bit → SAT variable)
 //!   and **structural gate cache**, so re-encoding an unchanged or widened
@@ -15,8 +15,8 @@
 //!   accumulates satisfiable-standalone Tseitin definitions at level 0 and
 //!   passes assertion roots as per-check *assumptions*.
 //!
-//! The baseline, difference-logic and refine lanes, and a lone bounded
-//! rung, solve on fresh solvers as they do for any other request.
+//! The baseline and difference-logic lanes, and a lone single-rung
+//! bounded lane, solve on fresh solvers as they do for any other request.
 //!
 //! # Incremental scripting
 //!
@@ -227,7 +227,7 @@ fn combine(frames: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::BatchVerdict;
+    use crate::sched::{BatchVerdict, WidenPolicy};
     use std::time::Duration;
 
     fn config() -> BatchConfig {
@@ -289,28 +289,37 @@ mod tests {
     }
 
     #[test]
-    fn warm_engine_serves_the_ladder_across_checks() {
-        // Without a baseline lane the escalation ladder always runs, so
-        // every check reaches the session's engine; the verdicts are a
-        // fresh session's.
-        let ladder = BatchConfig {
-            include_baseline: false,
-            ..config()
-        };
+    fn warm_engine_serves_the_bounded_lanes_across_checks() {
+        // Without a baseline lane the escalation ladder or the refine lane
+        // always runs, so every check reaches the session's engine under
+        // either policy; the verdicts are a fresh session's.
         let sources = [
             "(declare-fun x () Int)(assert (= (* x x) 49))",
             "(declare-fun x () Int)(assert (>= x 0))(assert (<= x 3))(assert (= (* x x) 7))",
             "(declare-fun x () Int)(assert (= (* x x) 121))",
+            "(declare-fun y () Int)(declare-fun z () Int)
+             (assert (>= y 0))(assert (>= z 0))(assert (= (- (* y y) (* z z)) 89))",
         ];
-        let mut session = Session::new(ladder.clone());
-        let mut checks = session.engine().checks();
-        for src in sources {
-            let script = Script::parse(src).unwrap();
-            let warm = session.run(&script).unwrap();
-            let fresh = Session::new(ladder.clone()).run(&script).unwrap();
-            assert_eq!(warm.verdict.name(), fresh.verdict.name(), "{src}");
-            assert!(session.engine().checks() > checks, "{src}: engine idle");
-            checks = session.engine().checks();
+        for widen in [
+            BatchConfig::default().widen,
+            WidenPolicy::PerVariable { depth: 3 },
+        ] {
+            let bounded = BatchConfig {
+                include_baseline: false,
+                widen,
+                ..config()
+            };
+            let mut session = Session::new(bounded.clone());
+            let mut checks = session.engine().checks();
+            for src in sources {
+                let script = Script::parse(src).unwrap();
+                let warm = session.run(&script).unwrap();
+                let fresh = Session::new(bounded.clone()).run(&script).unwrap();
+                assert_eq!(warm.verdict.name(), fresh.verdict.name(), "{src}");
+                let now = session.engine().checks();
+                assert!(now > checks, "{:?}: engine idle on {src}", bounded.widen);
+                checks = now;
+            }
         }
     }
 }

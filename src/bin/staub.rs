@@ -59,7 +59,7 @@ use std::fmt::Write as _;
 
 use staub::core::{
     run_one_with, BatchConfig, BatchReport, BatchVerdict, RunOptions, Staub, StaubConfig,
-    WidthChoice,
+    WidenPolicy, WidthChoice,
 };
 use staub::smtlib::Script;
 use staub::solver::SolverProfile;
@@ -137,9 +137,8 @@ const USAGE: &str = "usage: staub [--emit] [--reduce] [--width N] \
        staub lint [--width N] <file.smt2>
        staub stats [--width N] [--profile zed|cove] [--timeout-ms N] <file.smt2>
        staub batch [--threads N] [--timeout-ms N] [--steps N] [--width N] \
-[--profile zed|cove|both] [--escalate M,M,...] [--refine] [--refine-depth N] \
-[--no-baseline] [--no-cancel] [--retry] [--no-stats] [--out FILE] \
-<dir|file.smt2>...
+[--profile zed|cove|both] [--escalate M,M,... | --refine [--refine-depth N]] \
+[--no-baseline] [--no-cancel] [--no-stats] [--out FILE] <dir|file.smt2>...
        staub serve [--addr ENDPOINT] [--unix PATH] [--persist DIR] \
 [SERVE OPTIONS]
        staub route --backend ENDPOINT [--backend ENDPOINT ...] [ROUTE OPTIONS]
@@ -259,14 +258,13 @@ BATCH OPTIONS:
   --steps <N>         per-lane deterministic step budget (default 4000000)
   --width <N>         fixed base width instead of inference
   --profile <P>       zed (default), cove, or both (doubles the lanes)
-  --escalate <M,...>  STAUB width-escalation multipliers (default 2,4)
-  --refine            counterexample-guided per-variable refinement lane
-                      instead of the blind escalation fan-out
+  --escalate <M,...>  widen globally: escalation multipliers (default 2,4)
+  --refine            widen per variable instead: one counterexample-guided
+                      refinement lane (excludes --escalate)
   --refine-depth <N>  maximum refinement rungs after the base attempt
                       (default 5; implies --refine)
   --no-baseline       skip the baseline lane (bounded lanes only)
   --no-cancel         let losing lanes run to completion (full timings)
-  --retry             one bounded retry for lanes that exhaust their steps
   --no-stats          skip the metrics registry (per-record stats remain)
   --out <FILE>        write the JSONL to FILE instead of stdout
                       (with stats on, the aggregate metrics snapshot goes
@@ -278,6 +276,9 @@ fn batch_main(args: Vec<String>) -> ExitCode {
     use std::sync::Arc;
 
     let mut config = BatchConfig::default();
+    // The two widening policies; naming both is a usage error.
+    let mut escalations: Option<Vec<u32>> = None;
+    let mut refine_depth: Option<u32> = None;
     let mut out_path = None;
     let mut with_stats = true;
     let mut inputs = Vec::new();
@@ -286,10 +287,7 @@ fn batch_main(args: Vec<String>) -> ExitCode {
         ($flag:literal, $ty:ty) => {
             match iter.next().and_then(|v| v.parse::<$ty>().ok()) {
                 Some(v) => v,
-                None => {
-                    eprintln!("error: {} needs a numeric value\n{BATCH_USAGE}", $flag);
-                    return ExitCode::from(2);
-                }
+                None => return batch_usage_error(format_args!("{} needs a numeric value", $flag)),
             }
         };
     }
@@ -301,59 +299,51 @@ fn batch_main(args: Vec<String>) -> ExitCode {
             }
             "--steps" => config.steps = value_of!("--steps", u64),
             "--width" => config.width_choice = WidthChoice::Fixed(value_of!("--width", u32)),
-            "--refine" => config.refine = true,
-            "--refine-depth" => {
-                config.refine = true;
-                config.refine_depth = value_of!("--refine-depth", u32);
-            }
+            "--refine" => refine_depth = refine_depth.or(Some(WidenPolicy::DEFAULT_DEPTH)),
+            "--refine-depth" => refine_depth = Some(value_of!("--refine-depth", u32)),
             "--profile" => match iter.next().as_deref() {
                 Some("zed") => config.profiles = vec![SolverProfile::Zed],
                 Some("cove") => config.profiles = vec![SolverProfile::Cove],
                 Some("both") => config.profiles = vec![SolverProfile::Zed, SolverProfile::Cove],
-                other => {
-                    eprintln!("error: unknown profile {other:?}\n{BATCH_USAGE}");
-                    return ExitCode::from(2);
-                }
+                other => return batch_usage_error(format_args!("unknown profile {other:?}")),
             },
             "--escalate" => {
                 let Some(spec) = iter.next() else {
-                    eprintln!("error: --escalate needs a comma-separated list\n{BATCH_USAGE}");
-                    return ExitCode::from(2);
+                    return batch_usage_error("--escalate needs a comma-separated list");
                 };
-                let mut escalations = Vec::new();
+                let mut multipliers = Vec::new();
                 for part in spec.split(',').filter(|p| !p.is_empty()) {
                     match part.parse::<u32>() {
-                        Ok(m) => escalations.push(m),
+                        Ok(m) => multipliers.push(m),
                         Err(e) => {
-                            eprintln!("error: bad escalation `{part}`: {e}\n{BATCH_USAGE}");
-                            return ExitCode::from(2);
+                            return batch_usage_error(format_args!("bad escalation `{part}`: {e}"))
                         }
                     }
                 }
-                config.escalations = escalations;
+                escalations = Some(multipliers);
             }
             "--no-baseline" => config.include_baseline = false,
             "--no-cancel" => config.cancel_losers = false,
-            "--retry" => config.retry = true,
             "--no-stats" => with_stats = false,
             "--out" => {
                 let Some(path) = iter.next() else {
-                    eprintln!("error: --out needs a path\n{BATCH_USAGE}");
-                    return ExitCode::from(2);
+                    return batch_usage_error("--out needs a path");
                 };
                 out_path = Some(path);
             }
             "--help" | "-h" => return emit(&format_args!("{BATCH_USAGE}\n")),
             other if !other.starts_with('-') => inputs.push(other.to_string()),
-            other => {
-                eprintln!("error: unexpected argument `{other}`\n{BATCH_USAGE}");
-                return ExitCode::from(2);
-            }
+            other => return batch_usage_error(format_args!("unexpected argument `{other}`")),
         }
     }
+    match (escalations, refine_depth) {
+        (Some(_), Some(_)) => return batch_usage_error("use --escalate or --refine, not both"),
+        (Some(multipliers), None) => config.widen = WidenPolicy::Global(multipliers),
+        (None, Some(depth)) => config.widen = WidenPolicy::PerVariable { depth },
+        (None, None) => {}
+    }
     if inputs.is_empty() {
-        eprintln!("error: no input files or directories\n{BATCH_USAGE}");
-        return ExitCode::from(2);
+        return batch_usage_error("no input files or directories");
     }
 
     let files = match collect_smt2(&inputs) {
@@ -399,9 +389,10 @@ fn batch_main(args: Vec<String>) -> ExitCode {
     let (mut sat, mut unsat, mut cancelled) = (0u32, 0u32, 0u32);
     // Unknown is not one population: a budget unknown might resolve with
     // more steps, a linear-non-dl unknown needs a wider certified lane,
-    // and an ineligible-fragment unknown never decides (no complete lane
-    // of any kind exists for it). Report the three buckets separately.
-    let (mut unknown_budget, mut unknown_linear, mut unknown_fragment) = (0u32, 0u32, 0u32);
+    // and mixed-sorts and ineligible-fragment unknowns never decide (no
+    // complete lane of any kind exists for them). Report each bucket.
+    let (mut unknown_budget, mut unknown_linear) = (0u32, 0u32);
+    let (mut unknown_mixed, mut unknown_fragment) = (0u32, 0u32);
     for report in &reports {
         jsonl.push_str(&report.to_jsonl());
         jsonl.push('\n');
@@ -410,6 +401,7 @@ fn batch_main(args: Vec<String>) -> ExitCode {
             "unsat" => unsat += 1,
             _ => match report.unknown_reason {
                 Some("ineligible-fragment") => unknown_fragment += 1,
+                Some("mixed-sorts") => unknown_mixed += 1,
                 Some("linear-non-dl") => unknown_linear += 1,
                 _ => unknown_budget += 1,
             },
@@ -445,12 +437,19 @@ fn batch_main(args: Vec<String>) -> ExitCode {
         "; {} constraints in {:.1?}: {sat} sat, {unsat} unsat, \
          {unknown_budget} unknown (budget), \
          {unknown_linear} unknown (linear, no complete lane), \
+         {unknown_mixed} unknown (mixed Int+Real sorts), \
          {unknown_fragment} unknown (ineligible fragment); \
          {cancelled} lanes cancelled",
         reports.len(),
         wall,
     );
     ExitCode::SUCCESS
+}
+
+/// Reports a `staub batch` usage error (exit code 2).
+fn batch_usage_error(message: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {message}\n{BATCH_USAGE}");
+    ExitCode::from(2)
 }
 
 /// Expands a mix of files and directories into a sorted `.smt2` file
@@ -1247,8 +1246,7 @@ fn solve_config(
         timeout,
         width_choice: width,
         profiles: vec![profile],
-        refine: refine.is_some(),
-        refine_depth: refine.unwrap_or(defaults.refine_depth),
+        widen: refine.map_or(defaults.widen, |depth| WidenPolicy::PerVariable { depth }),
         ..defaults
     }
 }

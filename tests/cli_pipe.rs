@@ -1,7 +1,8 @@
 //! `staub` writing into a pipe whose reader has already gone away
 //! (`staub --emit f | head`, `staub client --help | true`) must exit
 //! cleanly, not panic — whatever the subcommand. Every solving subcommand
-//! runs the same scheduler, so all of them give one answer.
+//! runs the same scheduler, so all of them give one answer; `batch`
+//! refuses contradictory widening flags.
 
 use std::process::{Command, Stdio};
 
@@ -84,6 +85,32 @@ fn solve_stats_and_batch_give_one_answer() {
     assert!(stats.starts_with("unsat\n; lane dl/zed "), "{stats}");
     assert!(batch.contains("\"verdict\":\"unsat\""), "{batch}");
     assert!(batch.contains("\"winner\":\"dl/zed\""), "{batch}");
+}
+
+/// `--escalate` widens globally and `--refine`/`--refine-depth` per
+/// variable: naming both is a usage error in either order, and `--retry`
+/// is not a flag. Each exits 2 before solving anything.
+#[test]
+fn batch_rejects_a_contradictory_policy_and_retry() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["--escalate", "2,4", "--refine"], "not both"),
+        (&["--refine", "--escalate", "2,4"], "not both"),
+        (&["--escalate", "2", "--refine-depth", "3"], "not both"),
+        (&["--refine-depth", "3", "--escalate", "2"], "not both"),
+        (&["--retry"], "unexpected argument `--retry`"),
+    ];
+    for (flags, message) in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_staub"))
+            .arg("batch")
+            .args(flags)
+            .arg(EXAMPLE)
+            .output()
+            .expect("spawn staub");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(message), "{flags:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{flags:?} solved anyway");
+    }
 }
 
 #[test]

@@ -14,7 +14,9 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use staub::benchgen::generate_linear;
-use staub::core::{check, run_batch_with, BatchConfig, BatchItem, BatchVerdict, RunOptions};
+use staub::core::{
+    check, run_batch_with, BatchConfig, BatchItem, BatchVerdict, RunOptions, WidenPolicy,
+};
 use staub::lint::LintCode;
 use staub::smtlib::Script;
 
@@ -28,10 +30,9 @@ fn complete_only_config() -> BatchConfig {
         threads: 2,
         timeout: TIMEOUT,
         steps: STEPS,
-        escalations: Vec::new(),
+        widen: WidenPolicy::Global(Vec::new()),
         include_baseline: false,
         cancel_losers: false,
-        retry: false,
         // These tests pin *complete-lane* (certified-width) behaviour;
         // some generated families are difference-logic-shaped and would
         // otherwise be decided by the DL lane instead.

@@ -7,7 +7,7 @@ use std::time::Duration;
 use staub::benchgen::{generate, SuiteKind};
 use staub::core::{
     portfolio, run_one_with, BatchConfig, BatchVerdict, LaneVerdict, RunOptions, Session, Staub,
-    StaubConfig, WidthChoice,
+    StaubConfig, WidenPolicy, WidthChoice,
 };
 use staub::smtlib::{evaluate, Script, Value};
 use staub::solver::SolverProfile;
@@ -194,7 +194,7 @@ fn escalation_lane_wins_when_inferred_width_is_insufficient() {
         let config = BatchConfig {
             threads: 2,
             include_baseline: false,
-            escalations: vec![2],
+            widen: WidenPolicy::Global(vec![2]),
             // Both lanes run to completion, so lane verdicts (and the
             // winner: the only sound lane) are deterministic.
             cancel_losers: false,

@@ -21,9 +21,10 @@
 //! `tests/lane_ledger.txt` byte for byte. Widened variable names in
 //! refine rungs are sorted.
 //!
-//! A fresh [`Session`] runs the same scheduler with its own engine under
-//! the ladder, so for every constraint it must render exactly the lines
-//! of the default plan; the test asserts that while it renders.
+//! A fresh [`Session`] runs the same scheduler, its fresh engine standing
+//! in for the one a profile's bounded lanes would build, so for every
+//! constraint it must render exactly the lines of either plan; the test
+//! asserts that while it renders.
 //!
 //! To regenerate the ledger after an intended behaviour change, run
 //!
@@ -38,7 +39,8 @@ use std::time::Duration;
 
 use staub::benchgen::{generate, generate_dl, generate_linear, generate_skewed, SuiteKind};
 use staub::core::{
-    run_batch_with, BatchConfig, BatchItem, BatchReport, RunOptions, Session, WidthChoice,
+    run_batch_with, BatchConfig, BatchItem, BatchReport, RunOptions, Session, WidenPolicy,
+    WidthChoice,
 };
 
 const SEED: u64 = 0x1ED6E5;
@@ -70,14 +72,14 @@ fn corpus() -> Vec<BatchItem> {
 const WIDTHS: [(&str, WidthChoice); 2] =
     [("", WidthChoice::Inferred), ("-w9", WidthChoice::Fixed(9))];
 
-fn batch_config(refine: bool, width_choice: WidthChoice) -> BatchConfig {
+fn batch_config(widen: WidenPolicy, width_choice: WidthChoice) -> BatchConfig {
     BatchConfig {
         threads: 1,
         timeout: TIMEOUT,
         steps: STEPS,
         width_choice,
         cancel_losers: false,
-        refine,
+        widen,
         ..BatchConfig::default()
     }
 }
@@ -127,22 +129,23 @@ fn render() -> String {
     let items = corpus();
     let mut out = String::new();
     for (tag, width) in WIDTHS {
-        for (plan, refine) in [("ladder", false), ("refine", true)] {
+        let refine = WidenPolicy::PerVariable {
+            depth: WidenPolicy::DEFAULT_DEPTH,
+        };
+        for (plan, widen) in [("ladder", BatchConfig::default().widen), ("refine", refine)] {
             let plan = format!("{plan}{tag}");
-            let config = batch_config(refine, width);
+            let config = batch_config(widen, width);
             let reports = run_batch_with(&items, &config, &RunOptions::default());
             for (item, report) in items.iter().zip(&reports) {
                 let mut lines = String::new();
                 render_report(&mut lines, &plan, report);
-                if !refine {
-                    let mut fresh = Session::new(config.clone())
-                        .run(&item.script)
-                        .expect("corpus scripts assert");
-                    fresh.name.clone_from(&item.name);
-                    let mut session_lines = String::new();
-                    render_report(&mut session_lines, &plan, &fresh);
-                    assert_eq!(session_lines, lines, "a fresh session diverges");
-                }
+                let mut fresh = Session::new(config.clone())
+                    .run(&item.script)
+                    .expect("corpus scripts assert");
+                fresh.name.clone_from(&item.name);
+                let mut session_lines = String::new();
+                render_report(&mut session_lines, &plan, &fresh);
+                assert_eq!(session_lines, lines, "a fresh session diverges");
                 out.push_str(&lines);
             }
         }

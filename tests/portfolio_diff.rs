@@ -12,7 +12,7 @@ use std::time::Duration;
 use staub::benchgen::{generate, SuiteKind};
 use staub::core::{
     portfolio, run_batch_with, BatchConfig, BatchItem, BatchVerdict, LaneVerdict, PortfolioReport,
-    RunOptions, Staub, StaubConfig,
+    RunOptions, Staub, StaubConfig, WidenPolicy,
 };
 use staub::smtlib::{evaluate, Value};
 
@@ -31,16 +31,15 @@ fn sequential_tool() -> Staub {
 
 /// A scheduler configuration whose lane fan-out is exactly the pair of
 /// legs `measure` runs — baseline plus STAUB at the inferred width, no
-/// escalations, no cancellation, no retry — so the two paths are
-/// step-for-step comparable.
+/// escalations, no cancellation — so the two paths are step-for-step
+/// comparable.
 fn mirror_config() -> BatchConfig {
     BatchConfig {
         threads: 3,
         timeout: TIMEOUT,
         steps: STEPS,
-        escalations: Vec::new(),
+        widen: WidenPolicy::Global(Vec::new()),
         cancel_losers: false,
-        retry: false,
         ..BatchConfig::default()
     }
 }

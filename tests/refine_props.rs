@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use staub::benchgen::{generate, generate_skewed, Benchmark, SuiteKind};
 use staub::core::{
     portfolio, run_one_with, BatchConfig, BatchReport, BatchVerdict, LaneKind, RunOptions, Staub,
-    StaubConfig, WidthChoice,
+    StaubConfig, WidenPolicy, WidthChoice,
 };
 use staub::smtlib::{evaluate, Value};
 
@@ -30,11 +30,15 @@ fn batch_config(refine: bool) -> BatchConfig {
         timeout: Duration::from_secs(60),
         steps: STEPS,
         width_choice: WidthChoice::Fixed(9),
-        escalations: if refine { Vec::new() } else { vec![2, 4] },
+        widen: if refine {
+            WidenPolicy::PerVariable {
+                depth: WidenPolicy::DEFAULT_DEPTH,
+            }
+        } else {
+            WidenPolicy::Global(vec![2, 4])
+        },
         include_baseline: false,
         cancel_losers: true,
-        retry: false,
-        refine,
         ..BatchConfig::default()
     }
 }
@@ -136,9 +140,9 @@ proptest! {
                 continue;
             };
             prop_assert!(
-                lane.rungs.len() as u32 <= config.refine_depth + 1,
+                lane.rungs.len() as u32 <= WidenPolicy::DEFAULT_DEPTH + 1,
                 "{}: {} rungs exceed depth cap {}",
-                bench.name, lane.rungs.len(), config.refine_depth
+                bench.name, lane.rungs.len(), WidenPolicy::DEFAULT_DEPTH
             );
             let names: Vec<&str> = bench
                 .script

@@ -10,7 +10,8 @@ use std::time::Duration;
 use proptest::prelude::*;
 use staub::benchgen::{generate, Benchmark, SuiteKind};
 use staub::core::{
-    portfolio, run_one_with, BatchConfig, BatchVerdict, LaneVerdict, RunOptions, Staub, StaubConfig,
+    portfolio, run_one_with, BatchConfig, BatchVerdict, LaneVerdict, RunOptions, Staub,
+    StaubConfig, WidenPolicy,
 };
 use staub::solver::{Solver, SolverProfile};
 
@@ -33,9 +34,8 @@ fn race_config() -> BatchConfig {
         threads: 2,
         timeout: Duration::from_secs(120),
         steps: HARD_STEPS,
-        escalations: Vec::new(),
+        widen: WidenPolicy::Global(Vec::new()),
         cancel_losers: true,
-        retry: false,
         ..BatchConfig::default()
     }
 }
@@ -122,7 +122,7 @@ fn losers_are_cancelled_and_no_lane_outlives_the_batch() {
     let bench = hard_easy_instance(10).expect("certified hard/easy instance exists");
     let config = BatchConfig {
         // Full fan-out: baseline + x1 + x2 + x4.
-        escalations: vec![2, 4],
+        widen: WidenPolicy::Global(vec![2, 4]),
         ..race_config()
     };
     let report = run_one_with(&bench.name, &bench.script, &config, &RunOptions::default());

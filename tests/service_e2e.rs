@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use staub::benchgen::{generate, SuiteKind};
-use staub::core::{run_batch_with, BatchConfig, BatchItem, RunOptions};
+use staub::core::{run_batch_with, BatchConfig, BatchItem, RunOptions, WidenPolicy};
 use staub::service::json::{self, Json};
 use staub::service::{
     audit_reply, health_request, run_loadgen, solve_request, CacheConfig, Connection, Endpoint,
@@ -28,9 +28,8 @@ fn batch_config() -> BatchConfig {
         threads: 2,
         timeout: TIMEOUT,
         steps: STEPS,
-        escalations: Vec::new(),
+        widen: WidenPolicy::Global(Vec::new()),
         cancel_losers: false,
-        retry: false,
         ..BatchConfig::default()
     }
 }

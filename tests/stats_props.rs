@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use staub::benchgen::{generate, SuiteKind};
-use staub::core::{run_batch_with, BatchConfig, BatchItem, RunOptions, WidthChoice};
+use staub::core::{run_batch_with, BatchConfig, BatchItem, RunOptions, WidenPolicy, WidthChoice};
 use staub::service::json::{self, Json};
 use staub::smtlib::{ParseErrorKind, Script};
 use staub::solver::{SatResult, Solver, SolverProfile, SolverStats};
@@ -81,7 +81,9 @@ fn batch_jsonl_stats_block_is_well_formed() {
         timeout: Duration::from_secs(30),
         width_choice: WidthChoice::Fixed(9),
         include_baseline: false,
-        refine: true,
+        widen: WidenPolicy::PerVariable {
+            depth: WidenPolicy::DEFAULT_DEPTH,
+        },
         ..config
     };
     let refined = run_batch_with(&tabbed, &refine, &RunOptions::default());
