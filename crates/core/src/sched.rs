@@ -54,8 +54,20 @@
 //!
 //! Every lane runs under its own wall-clock deadline *and* deterministic
 //! step budget (per rung), so a batch degrades gracefully instead of
-//! hanging. Workers are scoped threads: when [`run_batch_with`] returns,
-//! every lane has been joined — no thread outlives the batch.
+//! hanging.
+//!
+//! With first-answer cancellation on, each constraint passes *admission*
+//! before any fan-out: its difference-logic lane, then its baseline, run on
+//! the calling thread under a step slice of [`ADMISSION_STEPS`]. A slice
+//! that returns with budget to spare is that lane's final outcome (the
+//! full-budget run would have made the same steps), and the first sound one
+//! skips the constraint's other lanes; a slice that ran out is thrown away
+//! and its lane queued at its full budget with the bounded lanes. Only the
+//! jobs admission leaves run in parallel, on `min(workers, jobs)` threads
+//! with the calling thread as worker 0, so a constraint admission decides
+//! spawns no thread at all. Workers are scoped threads: when
+//! [`run_batch_with`] returns, every lane has been joined — no thread
+//! outlives the batch.
 //!
 //! Every solving entry point runs here, [`crate::Session`] checks
 //! included: a session hands its warm engine to the first profile's
@@ -63,7 +75,8 @@
 //! so its checks warm-start each other under either policy.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::num::NonZeroUsize;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use staub_smtlib::{Model, Script, SymbolId, Value};
@@ -162,16 +175,26 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
+    /// `threads`, or for `0` one worker per available core. The core count
+    /// is asked of the OS once per process: the query reads cgroup files,
+    /// which costs tens of microseconds on every call.
     fn worker_count(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(2)
+        static CORES: OnceLock<usize> = OnceLock::new();
+        match self.threads {
+            0 => *CORES
+                .get_or_init(|| std::thread::available_parallelism().map_or(2, NonZeroUsize::get)),
+            n => n,
         }
     }
 }
+
+/// Step slice of a lane's admission run (see the module docs): a
+/// difference-logic or baseline lane that decides within it never reaches
+/// the fan-out. It covers every such lane of the end-to-end benchmark's
+/// `fragments` corpus (at most 41 and 161 steps over the 20,000
+/// constraints of seeds 1 and 9), and a lane that runs past it wastes at
+/// most this many steps.
+pub const ADMISSION_STEPS: u64 = 256;
 
 /// What a lane does.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -335,7 +358,8 @@ pub struct LaneOutcome {
     /// Deterministic steps consumed (across every rung of the lane).
     pub steps_used: u64,
     /// Time from the sibling cancellation request to this lane actually
-    /// stopping (only set when the lane was cancelled).
+    /// stopping (only set when a running lane was cancelled; a lane skipped
+    /// before it started has none).
     pub cancel_latency: Option<Duration>,
     /// Transformation time (STAUB lanes; zero for baseline).
     pub t_trans: Duration,
@@ -351,14 +375,16 @@ pub struct LaneOutcome {
 }
 
 impl LaneOutcome {
-    fn skipped(spec: &LaneSpec, cancel: &CancelFlag) -> LaneOutcome {
+    /// A lane that never started: cancelled, with no steps, time or stop
+    /// latency.
+    fn skipped(spec: &LaneSpec) -> LaneOutcome {
         LaneOutcome {
             spec: spec.clone(),
             verdict: LaneVerdict::Cancelled,
             model: None,
             elapsed: Duration::ZERO,
             steps_used: 0,
-            cancel_latency: cancel.latency(),
+            cancel_latency: None,
             t_trans: Duration::ZERO,
             t_post: Duration::ZERO,
             t_check: Duration::ZERO,
@@ -863,13 +889,13 @@ fn certificate_promotes(script: &Script, cert: &BoundCertificate, used_width: u3
 }
 
 /// Executes the difference-logic lane: assert every normalized edge of the
-/// planned system into a fresh incremental STN under the lane budget, and
+/// planned system into a fresh incremental STN under `budget`, and
 /// either read a model off the feasible potential (re-verified exactly, as
 /// every STAUB `sat` is) or promote the extracted negative cycle to a
 /// trusted `unsat`. The promotion mirrors [`certificate_promotes`]: it is
 /// a soundness claim, so the independent `L5xx` lints re-check the cycle
 /// in every build.
-fn run_dl_lane(cell: &Cell<'_>, spec: &LaneSpec, config: &BatchConfig) -> LaneOutcome {
+fn run_dl_lane(cell: &Cell<'_>, spec: &LaneSpec, budget: &Budget) -> LaneOutcome {
     let (script, cancel) = (cell.script, &cell.cancel);
     let start = Instant::now();
     let sys = cell
@@ -878,7 +904,6 @@ fn run_dl_lane(cell: &Cell<'_>, spec: &LaneSpec, config: &BatchConfig) -> LaneOu
         .as_ref()
         .expect("the DL lane is planned only for a detected system");
 
-    let budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
     let t1 = Instant::now();
     let mut stn = Stn::new();
     let mut node_of: HashMap<SymbolId, u32> = HashMap::new();
@@ -893,7 +918,7 @@ fn run_dl_lane(cell: &Cell<'_>, spec: &LaneSpec, config: &BatchConfig) -> LaneOu
             node(&e.y),
             node(&e.x),
             DlWeight::new(e.bound.clone(), e.strict),
-            &budget,
+            budget,
         );
         if status != StnStatus::Feasible {
             break;
@@ -967,8 +992,9 @@ fn run_dl_lane(cell: &Cell<'_>, spec: &LaneSpec, config: &BatchConfig) -> LaneOu
     }
 }
 
-/// Executes one lane to completion (or cancellation). Bounded lanes run
-/// on `engine` when one is given (see [`run_bounded_lane`]).
+/// Executes one lane to completion (or cancellation) at its full budget.
+/// Bounded lanes run on `engine` when one is given (see
+/// [`run_bounded_lane`]).
 fn run_lane(
     cell: &Cell<'_>,
     spec: &LaneSpec,
@@ -976,21 +1002,30 @@ fn run_lane(
     engine: Option<&mut BvSession>,
     metrics: &Metrics,
 ) -> LaneOutcome {
+    if spec.is_staub() {
+        return run_bounded_lane(cell, spec, config, engine, metrics);
+    }
+    let budget = Budget::with_cancel(config.timeout, config.steps, cell.cancel.clone());
+    run_racing_lane(cell, spec, &budget)
+}
+
+/// Executes a racing singleton lane — difference logic or baseline — under
+/// `budget`.
+fn run_racing_lane(cell: &Cell<'_>, spec: &LaneSpec, budget: &Budget) -> LaneOutcome {
     match spec.kind {
-        LaneKind::Baseline => run_baseline_lane(cell, spec, config),
-        LaneKind::DiffLogic => run_dl_lane(cell, spec, config),
+        LaneKind::Baseline => run_baseline_lane(cell, spec, budget),
+        LaneKind::DiffLogic => run_dl_lane(cell, spec, budget),
         LaneKind::Staub { .. } | LaneKind::Complete { .. } | LaneKind::Refine { .. } => {
-            run_bounded_lane(cell, spec, config, engine, metrics)
+            unreachable!("bounded lanes run in their profile's group")
         }
     }
 }
 
 /// Executes the baseline lane: the original constraint on a fresh solver.
-fn run_baseline_lane(cell: &Cell<'_>, spec: &LaneSpec, config: &BatchConfig) -> LaneOutcome {
+fn run_baseline_lane(cell: &Cell<'_>, spec: &LaneSpec, budget: &Budget) -> LaneOutcome {
     let cancel = &cell.cancel;
     let start = Instant::now();
-    let budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-    let outcome = Solver::new(spec.profile).solve_with_budget(cell.script, &budget);
+    let outcome = Solver::new(spec.profile).solve_with_budget(cell.script, budget);
     let (verdict, model) = match outcome.result {
         SatResult::Sat(m) => (LaneVerdict::Sat, Some(m)),
         SatResult::Unsat => (LaneVerdict::Unsat, None),
@@ -1299,6 +1334,9 @@ fn run_bounded_lane(
 struct Job {
     cell: usize,
     group: usize,
+    /// The group is a racing lane whose admission slice ran out: the lane
+    /// already counts as started, whether it runs again or is skipped.
+    sliced: bool,
 }
 
 struct CellState {
@@ -1447,33 +1485,33 @@ fn run_cells<'a>(
         .collect();
     metrics.incr("sched.constraints", cells.len() as u64);
 
-    // Seed the per-worker deques round-robin by job, so a constraint's
-    // sibling jobs start on distinct workers and race for the first sound
-    // answer. Workers drain their own deque front-first and steal from the
-    // back of others'; no job is ever enqueued after this point, so an
-    // empty sweep over every deque is a sound termination condition.
-    let queues: Vec<Mutex<VecDeque<Job>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    let mut next = 0usize;
-    for (ci, cell) in cells.iter().enumerate() {
-        for gi in 0..cell.groups.len() {
-            queues[next % workers]
-                .lock()
-                .expect("queue lock")
-                .push_back(Job {
+    // With cancellation on, admission (one job per cell) decides what it
+    // can before the fan-out and leaves the rest; without it, every lane
+    // runs at its full budget, so every group is a fan-out job.
+    let jobs = if config.cancel_losers {
+        let rest = Mutex::new(Vec::new());
+        run_pool((0..cells.len()).collect(), workers, |ci| {
+            let jobs = admit(ci, &cells, config, metrics);
+            rest.lock().expect("no admission panicked").extend(jobs);
+        });
+        let mut rest = rest.into_inner().expect("no admission panicked");
+        rest.sort_unstable_by_key(|job| (job.cell, job.group));
+        rest
+    } else {
+        cells
+            .iter()
+            .enumerate()
+            .flat_map(|(ci, cell)| {
+                (0..cell.groups.len()).map(move |gi| Job {
                     cell: ci,
                     group: gi,
-                });
-            next += 1;
-        }
-    }
-
-    std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let queues = &queues;
-            let cells = &cells;
-            scope.spawn(move || worker_loop(wid, queues, cells, config, metrics));
-        }
+                    sliced: false,
+                })
+            })
+            .collect()
+    };
+    run_pool(jobs, workers, |job| {
+        execute_job(job, &cells, config, metrics);
     });
 
     cells
@@ -1530,21 +1568,39 @@ fn run_cells<'a>(
         .collect()
 }
 
-fn worker_loop(
-    wid: usize,
-    queues: &[Mutex<VecDeque<Job>>],
-    cells: &[Cell<'_>],
-    config: &BatchConfig,
-    metrics: &Metrics,
-) {
-    loop {
-        let job = next_job(wid, queues);
-        let Some(job) = job else { return };
-        execute_job(job, cells, config, metrics);
+/// Runs `jobs` on `min(workers, jobs)` threads: the calling thread is
+/// worker 0 and the others are scoped threads, all joined before this
+/// returns, so one job spawns no thread. Jobs are seeded round-robin
+/// across per-worker deques, so a constraint's sibling jobs start on
+/// distinct workers and race for the first sound answer. A worker drains
+/// its own deque front-first and steals from the back of the others'; no
+/// job is enqueued after seeding, so an empty sweep over every deque is a
+/// sound termination condition.
+fn run_pool<J: Send>(jobs: Vec<J>, workers: usize, run: impl Fn(J) + Sync) {
+    let n = workers.min(jobs.len());
+    if n == 0 {
+        return;
     }
+    let mut seeded: Vec<VecDeque<J>> = (0..n).map(|_| VecDeque::new()).collect();
+    for (i, job) in jobs.into_iter().enumerate() {
+        seeded[i % n].push_back(job);
+    }
+    let queues: Vec<Mutex<VecDeque<J>>> = seeded.into_iter().map(Mutex::new).collect();
+    let drain = |wid: usize| {
+        while let Some(job) = next_job(wid, &queues) {
+            run(job);
+        }
+    };
+    std::thread::scope(|scope| {
+        for wid in 1..n {
+            let drain = &drain;
+            scope.spawn(move || drain(wid));
+        }
+        drain(0);
+    });
 }
 
-fn next_job(wid: usize, queues: &[Mutex<VecDeque<Job>>]) -> Option<Job> {
+fn next_job<J>(wid: usize, queues: &[Mutex<VecDeque<J>>]) -> Option<J> {
     if let Some(job) = queues[wid].lock().expect("queue lock").pop_front() {
         return Some(job);
     }
@@ -1558,6 +1614,52 @@ fn next_job(wid: usize, queues: &[Mutex<VecDeque<Job>>]) -> Option<Job> {
     None
 }
 
+/// Admission for cell `ci`: its racing singleton lanes — difference logic,
+/// then each baseline — run in plan order on the calling thread, each under
+/// a step slice of `min(steps, ADMISSION_STEPS)`.
+///
+/// A slice run whose budget is not exhausted when it returns (steps left,
+/// deadline not passed, cancel flag not set) is the lane's final outcome.
+/// All three only move one way and engines read a budget only through
+/// `consume`/`exhausted`, so every budget check of that run answered as it
+/// would have under the full budget: the run is step for step the
+/// full-budget run. A slice that hit a limit is thrown away and its lane
+/// queued at its full budget (when the slice is the whole budget, the run
+/// is final either way). The first sound verdict skips every lane still to
+/// run, here; otherwise the bounded groups and the queued lanes are
+/// returned as the cell's fan-out jobs.
+fn admit(ci: usize, cells: &[Cell<'_>], config: &BatchConfig, metrics: &Metrics) -> Vec<Job> {
+    let cell = &cells[ci];
+    let slice = config.steps.min(ADMISSION_STEPS);
+    let mut rest = Vec::new();
+    for (gi, group) in cell.groups.iter().enumerate() {
+        let lane = group[0];
+        let spec = &cell.specs[lane];
+        let sliced = !spec.is_staub() && !cell.cancel.is_cancelled();
+        if sliced {
+            metrics.incr("sched.lane_started", 1);
+            let budget = Budget::with_cancel(config.timeout, slice, cell.cancel.clone());
+            let outcome = run_racing_lane(cell, spec, &budget);
+            if slice == config.steps || !budget.exhausted() {
+                submit(cell, lane, outcome, config, metrics);
+                continue;
+            }
+        }
+        rest.push(Job {
+            cell: ci,
+            group: gi,
+            sliced,
+        });
+    }
+    if cell.cancel.is_cancelled() {
+        for job in rest {
+            execute_job(job, cells, config, metrics);
+        }
+        return Vec::new();
+    }
+    rest
+}
+
 fn execute_job(job: Job, cells: &[Cell<'_>], config: &BatchConfig, metrics: &Metrics) {
     let cell = &cells[job.cell];
     let group = &cell.groups[job.group];
@@ -1567,36 +1669,45 @@ fn execute_job(job: Job, cells: &[Cell<'_>], config: &BatchConfig, metrics: &Met
     // phases, and activities; it stops at the first sound lane. The first
     // profile's group runs on the caller's engine when there is one, so it
     // also re-uses the caller's earlier checks. Any other lone lane solves
-    // on a fresh solver.
+    // on a fresh solver. The engine is taken when the group starts its
+    // first lane, so a group skipped whole builds none.
     let first = &cell.specs[group[0]];
     let warm = group.len() > 1 || matches!(first.kind, LaneKind::Refine { .. });
-    let mut fresh = None;
-    let mut engine = None;
-    if warm {
-        metrics.incr("sched.ladder_jobs", 1);
-        let caller = match config.profiles.first() {
-            Some(&profile) if profile == first.profile => {
-                cell.warm.lock().expect("warm lock").take()
-            }
-            _ => None,
-        };
-        engine = Some(match caller {
-            Some(engine) => engine,
-            None => fresh.insert(BvSession::new(first.profile.sat_config())),
-        });
-    }
+    let (mut caller, mut fresh) = (None, None);
     let mut answered = false;
     for &lane in group {
         let spec = &cell.specs[lane];
-        let outcome = if answered || (config.cancel_losers && cell.cancel.is_cancelled()) {
-            metrics.incr("sched.lane_skipped", 1);
-            LaneOutcome::skipped(spec, &cell.cancel)
+        let skip = answered || (config.cancel_losers && cell.cancel.is_cancelled());
+        if !job.sliced {
+            metrics.incr(
+                if skip {
+                    "sched.lane_skipped"
+                } else {
+                    "sched.lane_started"
+                },
+                1,
+            );
+        }
+        let outcome = if skip {
+            LaneOutcome::skipped(spec)
         } else {
-            metrics.incr("sched.lane_started", 1);
             if warm {
+                if caller.is_none() && fresh.is_none() {
+                    metrics.incr("sched.ladder_jobs", 1);
+                    caller = match config.profiles.first() {
+                        Some(&profile) if profile == first.profile => {
+                            cell.warm.lock().expect("warm lock").take()
+                        }
+                        _ => None,
+                    };
+                    fresh = caller
+                        .is_none()
+                        .then(|| BvSession::new(first.profile.sat_config()));
+                }
                 metrics.incr("sched.warm_rungs", 1);
             }
-            run_lane(cell, spec, config, engine.as_deref_mut(), metrics)
+            let engine = caller.as_deref_mut().or(fresh.as_mut());
+            run_lane(cell, spec, config, engine, metrics)
         };
         answered |= outcome.verdict.is_sound();
         submit(cell, lane, outcome, config, metrics);
@@ -2173,6 +2284,54 @@ mod tests {
         assert!(snap.counters.keys().any(|k| k.starts_with("sched.wins.")));
         assert!(snap.histograms.contains_key("sched.lane_elapsed"));
         assert_eq!(snap.gauges["sched.workers"], 2);
+    }
+
+    #[test]
+    fn admission_counts_every_lane_once() {
+        // One worker, so the fan-out order is fixed. The baseline decides
+        // x² = 49 inside its admission slice: it is the one lane started,
+        // and the skipped ladder builds no engine. On x² − y² = 239 it runs
+        // past the slice and again at its full budget, still one start.
+        let config = BatchConfig {
+            threads: 1,
+            ..quick_config()
+        };
+        let cases = [
+            (
+                "sq49",
+                "(declare-fun x () Int)(assert (= (* x x) 49))",
+                false,
+            ),
+            (
+                "prime-diff",
+                "(declare-fun x () Int)(declare-fun y () Int)
+                 (assert (>= x 0))(assert (>= y 0))
+                 (assert (= (- (* x x) (* y y)) 239))",
+                true,
+            ),
+        ];
+        for (name, src, past_slice) in cases {
+            let metrics = Arc::new(Metrics::new());
+            let options = RunOptions {
+                metrics: Some(Arc::clone(&metrics)),
+            };
+            let report = &run_batch_with(&[item(name, src)], &config, &options)[0];
+            let baseline = report.baseline_lane().unwrap();
+            assert_eq!(report.provenance().unwrap().label, "baseline/zed");
+            assert_eq!(baseline.steps_used > ADMISSION_STEPS, past_slice, "{name}");
+            let snap = metrics.snapshot();
+            assert_eq!(snap.counters["sched.lane_started"], 1, "{name}");
+            assert_eq!(
+                snap.counters["sched.lane_skipped"],
+                report.lanes.len() as u64 - 1,
+                "{name}"
+            );
+            assert!(!snap.counters.contains_key("sched.ladder_jobs"), "{name}");
+            for lane in report.lanes.iter().filter(|l| l.spec.is_staub()) {
+                assert_eq!(lane.verdict, LaneVerdict::Cancelled, "{name}");
+                assert_eq!((lane.steps_used, lane.cancel_latency), (0, None));
+            }
+        }
     }
 
     #[test]

@@ -1179,20 +1179,20 @@ mod tests {
         let first = solve_one(&inner, 1, &req);
         assert!(first.contains("\"verdict\":\"unsat\""), "{first}");
         assert!(first.contains("\"cache\":\"miss\""), "{first}");
-        // Which lane wins the miss is a race (the DL lane or the
-        // baseline); the cached provenance is whatever won it.
+        // Admission runs the DL lane first, on the request's thread, so it
+        // decides the miss every time; the cache records that provenance.
         let winner = |reply: &str| {
             let parsed = crate::json::parse(reply).unwrap();
             let label = parsed.get("winner").and_then(crate::json::Json::as_str);
             label.map(str::to_string)
         };
-        let won = winner(&first).expect("a decided miss names its winner");
+        assert_eq!(winner(&first).as_deref(), Some("dl/zed"), "{first}");
         // The repeat is α-renamed, flips one comparison (`>=` vs `<=`),
         // and spells the strict Int bound in its tightened non-strict
         // form — all folded away by canonicalization, so the answer must
-        // come from the cache, the miss's winner replayed verbatim, with
-        // no lanes run (`stats:null` is only ever emitted on the
-        // lane-free hit path).
+        // come from the cache, the miss's `dl/zed` provenance replayed
+        // verbatim, with no lanes run (`stats:null` is only ever emitted on
+        // the lane-free hit path).
         let renamed = SolveRequest {
             constraint: "(declare-fun a () Int)(declare-fun b () Int)\
                          (assert (>= 1 (- a b)))(assert (<= (- b a) (- 2)))\
@@ -1203,7 +1203,7 @@ mod tests {
         let second = solve_one(&inner, 1, &renamed);
         assert!(second.contains("\"cache\":\"hit\""), "{second}");
         assert!(second.contains("\"verdict\":\"unsat\""), "{second}");
-        assert_eq!(winner(&second).as_deref(), Some(won.as_str()), "{second}");
+        assert_eq!(winner(&second).as_deref(), Some("dl/zed"), "{second}");
         assert!(second.contains("\"stats\":null"), "{second}");
         let stats = inner.store.as_ref().unwrap().stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));

@@ -58,8 +58,8 @@ use std::time::Duration;
 use std::fmt::Write as _;
 
 use staub::core::{
-    run_one_with, BatchConfig, BatchReport, BatchVerdict, RunOptions, Staub, StaubConfig,
-    WidenPolicy, WidthChoice,
+    run_one_with, BatchConfig, BatchReport, BatchVerdict, LaneVerdict, RunOptions, Staub,
+    StaubConfig, WidenPolicy, WidthChoice,
 };
 use staub::smtlib::Script;
 use staub::solver::SolverProfile;
@@ -409,7 +409,7 @@ fn batch_main(args: Vec<String>) -> ExitCode {
         cancelled += report
             .lanes
             .iter()
-            .filter(|l| l.cancel_latency.is_some())
+            .filter(|l| l.verdict == LaneVerdict::Cancelled)
             .count() as u32;
     }
     if let Some(path) = out_path {
