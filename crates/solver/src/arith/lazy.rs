@@ -85,7 +85,7 @@ pub fn solve_lazy_linear(
                 }
                 break SatResult::Sat(model);
             }
-            ConjunctionResult::Unknown => break SatResult::Unknown(UnknownReason::BudgetExhausted),
+            ConjunctionResult::Unknown(reason) => break SatResult::Unknown(reason),
             ConjunctionResult::Unsat => {
                 // Block this boolean model (over atom variables only).
                 if blocking.is_empty() || !enc.sat.add_clause(&blocking) {

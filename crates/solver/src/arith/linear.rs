@@ -1,5 +1,24 @@
-//! Linear-arithmetic atoms: extraction from terms and conjunction solving
-//! (simplex for reals, branch-and-bound on top for integers).
+//! Linear-arithmetic atoms: extraction from terms and conjunction solving.
+//!
+//! [`solve_conjunction`] decides a conjunction of atoms, and every linear
+//! engine calls it: plain conjunctions ([`solve_linear_script`]), the DNF
+//! case split ([`solve_linear_case_split`]) and the theory checks of the
+//! lazy DPLL(T) loop ([`crate::arith::lazy`]).
+//!
+//! * Over the reals it runs the simplex, splitting disequalities.
+//! * Over the integers it first eliminates the equalities exactly: a
+//!   unimodular change of variables `x = U·y` built from extended-Euclid
+//!   column operations (as in a Hermite normal form, or the equality step
+//!   of Pugh's Omega test) fixes a prefix of `y`, or refutes the system
+//!   when a pivot does not divide its row's constant. The remaining
+//!   inequalities and disequalities are rewritten over the free columns
+//!   of `y` and go to branch-and-bound on the simplex relaxation; the
+//!   model is `U·y`. A pure system of equations needs no simplex at all,
+//!   and a conjunction without an integer equality goes straight to
+//!   branch-and-bound. One budget step is charged per column operation.
+//! * Branch-and-bound stops at a depth cap and then answers
+//!   `unknown` with [`UnknownReason::Incomplete`];
+//!   [`UnknownReason::BudgetExhausted`] means the budget ran out.
 
 use std::collections::BTreeMap;
 
@@ -247,14 +266,17 @@ pub enum ConjunctionResult {
     Sat(Model),
     /// Unsatisfiable.
     Unsat,
-    /// Budget exhausted.
-    Unknown,
+    /// Undecided: the budget ran out ([`UnknownReason::BudgetExhausted`])
+    /// or branch-and-bound reached its depth cap
+    /// ([`UnknownReason::Incomplete`]).
+    Unknown(UnknownReason),
 }
 
 /// Solves a conjunction of linear atoms over `Int` or `Real` variables.
 ///
-/// Disequalities are handled by case-splitting, integers by branch-and-bound
-/// on the simplex relaxation.
+/// Over the integers, equalities are first eliminated exactly (see the
+/// module docs); disequalities are handled by case-splitting and
+/// integrality by branch-and-bound on the simplex relaxation.
 pub fn solve_conjunction(
     atoms: &[LinAtom],
     vars: &[SymbolId],
@@ -262,86 +284,363 @@ pub fn solve_conjunction(
     budget: &Budget,
     stats: &mut SolverStats,
 ) -> ConjunctionResult {
-    let mut simplex = Simplex::new();
-    let var_index: BTreeMap<SymbolId, usize> =
-        vars.iter().map(|&v| (v, simplex.add_var())).collect();
-    let mut disequalities: Vec<&LinAtom> = Vec::new();
-    for atom in atoms {
-        if is_int && atom.rel == Rel::Eq && int_eq_gcd_infeasible(atom) {
-            return ConjunctionResult::Unsat;
+    let column: BTreeMap<SymbolId, usize> = vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+    let rows: Vec<ColAtom> = atoms.iter().map(|a| ColAtom::over(a, &column)).collect();
+    let found = if is_int && rows.iter().any(ColAtom::is_equality) {
+        eliminate_and_search(&rows, vars.len(), budget, stats)
+    } else {
+        // Branch on the variables in symbol order.
+        let order: Vec<usize> = column.values().copied().collect();
+        search(&rows, vars.len(), &order, is_int, budget, stats)
+    };
+    stats.theory_checks += 1;
+    match found {
+        Ok(values) => {
+            let mut model = Model::new();
+            for (&sym, value) in vars.iter().zip(values) {
+                model.insert(
+                    sym,
+                    if is_int {
+                        debug_assert!(value.is_integer());
+                        Value::Int(value.floor())
+                    } else {
+                        Value::Real(value)
+                    },
+                );
+            }
+            stats.model_checks += 1;
+            ConjunctionResult::Sat(model)
         }
-        match atom.rel {
-            Rel::Ne => disequalities.push(atom),
+        Err(NoPoint::Unsat) => ConjunctionResult::Unsat,
+        Err(NoPoint::Unknown(reason)) => ConjunctionResult::Unknown(reason),
+    }
+}
+
+/// A linear atom over the columns of one conjunction: `Σ c·col + k ⋈ 0`.
+#[derive(Debug, Clone)]
+struct ColAtom {
+    terms: Vec<(usize, BigRational)>,
+    constant: BigRational,
+    rel: Rel,
+}
+
+impl ColAtom {
+    fn over(atom: &LinAtom, column: &BTreeMap<SymbolId, usize>) -> ColAtom {
+        ColAtom {
+            terms: atom
+                .expr
+                .coeffs
+                .iter()
+                .map(|(v, c)| (column[v], c.clone()))
+                .collect(),
+            constant: atom.expr.constant.clone(),
+            rel: atom.rel,
+        }
+    }
+
+    /// An equality with at least one variable.
+    fn is_equality(&self) -> bool {
+        self.rel == Rel::Eq && !self.terms.is_empty()
+    }
+
+    /// `self.expr < 0`, or `-self.expr < 0` when `negate`.
+    fn strict(&self, negate: bool) -> ColAtom {
+        let sign = |c: &BigRational| if negate { -c } else { c.clone() };
+        ColAtom {
+            terms: self.terms.iter().map(|(v, c)| (*v, sign(c))).collect(),
+            constant: sign(&self.constant),
+            rel: Rel::Lt,
+        }
+    }
+}
+
+/// Why a search returned no point.
+#[derive(Debug)]
+enum NoPoint {
+    Unsat,
+    Unknown(UnknownReason),
+}
+
+/// A point of a conjunction: the value of every column.
+type Search = Result<Vec<BigRational>, NoPoint>;
+
+/// Simplex plus branch-and-bound over `columns` structural columns,
+/// branching on non-integral columns in `order`.
+fn search(
+    rows: &[ColAtom],
+    columns: usize,
+    order: &[usize],
+    is_int: bool,
+    budget: &Budget,
+    stats: &mut SolverStats,
+) -> Search {
+    let mut simplex = Simplex::new();
+    for _ in 0..columns {
+        simplex.add_var();
+    }
+    let mut disequalities: Vec<&ColAtom> = Vec::new();
+    for row in rows {
+        match row.rel {
+            Rel::Ne => disequalities.push(row),
             _ => {
-                if !assert_atom(&mut simplex, &var_index, atom) {
-                    return ConjunctionResult::Unsat;
+                if !assert_atom(&mut simplex, row) {
+                    return Err(NoPoint::Unsat);
                 }
             }
         }
     }
-    let result = solve_rec(
-        simplex,
-        &var_index,
-        &disequalities,
-        is_int,
-        budget,
-        stats,
-        0,
-    );
-    stats.theory_checks += 1;
-    result
+    let mut values = solve_rec(simplex, order, &disequalities, is_int, budget, stats, 0)?;
+    values.truncate(columns);
+    Ok(values)
 }
 
-/// GCD test for integer equalities: scale `Σ cᵢxᵢ + k = 0` to integer
-/// coefficients; if `gcd(cᵢ)` does not divide the constant, the equation has
-/// no integer solution (branch-and-bound alone cannot refute these because
-/// the rational relaxation stays feasible forever).
-fn int_eq_gcd_infeasible(atom: &LinAtom) -> bool {
-    debug_assert_eq!(atom.rel, Rel::Eq);
-    if atom.expr.coeffs.is_empty() {
-        return false; // ground atoms handled elsewhere
+/// Integer equalities eliminated by a unimodular change of variables
+/// `x = U·y`.
+///
+/// `U` starts as the identity. Row by row, extended-Euclid column
+/// operations — swap two columns, or add an integer multiple of one column
+/// to another — leave the row one nonzero entry among the columns not yet
+/// fixed, as in a Hermite normal form; applied to `U` as well, they keep
+/// `a·x = (a·U)·y` for every row `a`. That entry's column is then fixed to
+/// the exact quotient of the row's constant (with the fixed prefix
+/// substituted) by the entry. The columns no equality fixes stay free.
+/// Each column operation has determinant ±1, so `U` is unimodular and
+/// `y ↦ U·y` is a bijection of ℤⁿ: the equalities hold at an integer `x`
+/// exactly when `x = U·y` for an integer `y` with the fixed prefix.
+struct Substitution {
+    /// `U`; row `i` writes `x_i` over `y`.
+    u: Vec<Vec<BigInt>>,
+    /// `y_0 … y_{r-1}`, fixed by the equalities; `y_r …` are free.
+    fixed: Vec<BigInt>,
+}
+
+/// An integer equality `a·x + k = 0` over dense columns.
+struct IntRow {
+    coeffs: Vec<BigInt>,
+    constant: BigInt,
+}
+
+impl IntRow {
+    /// Scales an equality to coprime integer coefficients, without steps.
+    /// `Err(Unsat)` when the gcd of the coefficients does not divide the
+    /// constant (or a ground equality is false): no integer point, though
+    /// the rational relaxation may be feasible.
+    fn normalized(row: &ColAtom, columns: usize) -> Result<IntRow, NoPoint> {
+        let lcm = |a: &BigInt, b: &BigInt| -> BigInt { &(a / &a.gcd(b)) * b };
+        let denom = row
+            .terms
+            .iter()
+            .map(|(_, c)| c)
+            .chain(std::iter::once(&row.constant))
+            .fold(BigInt::one(), |acc, c| lcm(&acc, c.denom()));
+        let scale = BigRational::from_int(denom);
+        let integer = |c: &BigRational| (c * &scale).floor();
+        let mut coeffs = vec![BigInt::zero(); columns];
+        let mut g = BigInt::zero();
+        for (col, c) in &row.terms {
+            coeffs[*col] = integer(c);
+            g = g.gcd(&coeffs[*col]);
+        }
+        let constant = integer(&row.constant);
+        if g.is_zero() {
+            return if constant.is_zero() {
+                Ok(IntRow { coeffs, constant })
+            } else {
+                Err(NoPoint::Unsat)
+            };
+        }
+        if !(&constant % &g).is_zero() {
+            return Err(NoPoint::Unsat);
+        }
+        Ok(IntRow {
+            coeffs: coeffs.iter().map(|c| c / &g).collect(),
+            constant: &constant / &g,
+        })
     }
-    // Common denominator of all coefficients and the constant.
-    let mut denom_lcm = BigInt::one();
-    let lcm = |a: &BigInt, b: &BigInt| -> BigInt {
-        let g = a.gcd(b);
-        &(a / &g) * b
+}
+
+impl Substitution {
+    /// Solves `rows` (after [`IntRow::normalized`]) over `columns` integer
+    /// columns, charging one budget step per column operation.
+    fn solve(mut rows: Vec<IntRow>, columns: usize, budget: &Budget) -> Result<Self, NoPoint> {
+        let mut sub = Substitution {
+            u: (0..columns)
+                .map(|i| {
+                    (0..columns)
+                        .map(|j| BigInt::from(u8::from(i == j)))
+                        .collect()
+                })
+                .collect(),
+            fixed: Vec::new(),
+        };
+        for i in 0..rows.len() {
+            let r = sub.fixed.len();
+            // Euclid over the free columns: move the smallest entry to
+            // column `r`, reduce the others by it, until only it is left.
+            loop {
+                let row = &rows[i].coeffs;
+                let Some(p) = (r..columns)
+                    .filter(|&j| !row[j].is_zero())
+                    .min_by_key(|&j| row[j].abs())
+                else {
+                    break;
+                };
+                if p != r {
+                    charge(budget)?;
+                    sub.swap_columns(&mut rows[i..], p, r);
+                }
+                let mut reduced = true;
+                for j in r + 1..columns {
+                    if rows[i].coeffs[j].is_zero() {
+                        continue;
+                    }
+                    let q = -(&rows[i].coeffs[j] / &rows[i].coeffs[r]);
+                    charge(budget)?;
+                    sub.add_column(&mut rows[i..], j, r, &q);
+                    reduced &= rows[i].coeffs[j].is_zero();
+                }
+                if reduced {
+                    break;
+                }
+            }
+            // The row is now `t·y_r + c = 0`, the fixed prefix substituted.
+            let row = &rows[i];
+            let c = sub
+                .fixed
+                .iter()
+                .zip(&row.coeffs)
+                .fold(row.constant.clone(), |acc, (y, t)| &acc + &(t * y));
+            match row.coeffs.get(r).filter(|t| !t.is_zero()) {
+                Some(t) => {
+                    let (y, rem) = (-c).div_rem_trunc(t);
+                    if !rem.is_zero() {
+                        return Err(NoPoint::Unsat);
+                    }
+                    sub.fixed.push(y);
+                }
+                None if c.is_zero() => {}
+                None => return Err(NoPoint::Unsat),
+            }
+        }
+        Ok(sub)
+    }
+
+    fn swap_columns(&mut self, rows: &mut [IntRow], a: usize, b: usize) {
+        for row in rows {
+            row.coeffs.swap(a, b);
+        }
+        for row in &mut self.u {
+            row.swap(a, b);
+        }
+    }
+
+    /// Column `dst` += `q` · column `src`.
+    fn add_column(&mut self, rows: &mut [IntRow], dst: usize, src: usize, q: &BigInt) {
+        let add = |row: &mut Vec<BigInt>| {
+            if !row[src].is_zero() {
+                row[dst] = &row[dst] + &(q * &row[src]);
+            }
+        };
+        for row in rows {
+            add(&mut row.coeffs);
+        }
+        self.u.iter_mut().for_each(add);
+    }
+
+    /// `row` over `x`, rewritten over the free columns `y_r …` (renumbered
+    /// from 0), with the fixed prefix folded into the constant.
+    fn rewrite(&self, row: &ColAtom) -> ColAtom {
+        let r = self.fixed.len();
+        let mut constant = row.constant.clone();
+        let mut terms = Vec::new();
+        for j in 0..self.u.len() {
+            let c = row
+                .terms
+                .iter()
+                .filter(|(i, _)| !self.u[*i][j].is_zero())
+                .fold(BigRational::zero(), |acc, (i, c)| {
+                    &acc + &(c * &BigRational::from_int(self.u[*i][j].clone()))
+                });
+            if c.is_zero() {
+                continue;
+            }
+            match self.fixed.get(j) {
+                Some(y) => constant = &constant + &(&c * &BigRational::from_int(y.clone())),
+                None => terms.push((j - r, c)),
+            }
+        }
+        ColAtom {
+            terms,
+            constant,
+            rel: row.rel,
+        }
+    }
+
+    /// `x = U·y` for the free values `free`.
+    fn point(&self, free: &[BigRational]) -> Vec<BigRational> {
+        let y: Vec<BigRational> = self
+            .fixed
+            .iter()
+            .map(|v| BigRational::from_int(v.clone()))
+            .chain(free.iter().cloned())
+            .collect();
+        self.u
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .zip(&y)
+                    .filter(|(u, _)| !u.is_zero())
+                    .fold(BigRational::zero(), |acc, (u, y)| {
+                        &acc + &(&BigRational::from_int(u.clone()) * y)
+                    })
+            })
+            .collect()
+    }
+}
+
+/// One budget step; `Err` once the budget is exhausted.
+fn charge(budget: &Budget) -> Result<(), NoPoint> {
+    if budget.consume(1) {
+        Err(NoPoint::Unknown(UnknownReason::BudgetExhausted))
+    } else {
+        Ok(())
+    }
+}
+
+/// Integer conjunctions with equalities: eliminate them exactly, then
+/// search the free columns for the remaining atoms. With no atom left (a
+/// pure equality system) the free columns are 0 and no simplex runs.
+fn eliminate_and_search(
+    rows: &[ColAtom],
+    columns: usize,
+    budget: &Budget,
+    stats: &mut SolverStats,
+) -> Search {
+    let mut equalities = Vec::new();
+    let mut rest = Vec::new();
+    for row in rows {
+        if row.rel == Rel::Eq {
+            equalities.push(IntRow::normalized(row, columns)?);
+        } else {
+            rest.push(row);
+        }
+    }
+    let sub = Substitution::solve(equalities, columns, budget)?;
+    let free = columns - sub.fixed.len();
+    let values = if rest.is_empty() {
+        vec![BigRational::zero(); free]
+    } else {
+        let rewritten: Vec<ColAtom> = rest.iter().map(|row| sub.rewrite(row)).collect();
+        let order: Vec<usize> = (0..free).collect();
+        search(&rewritten, free, &order, true, budget, stats)?
     };
-    for c in atom
-        .expr
-        .coeffs
-        .values()
-        .chain(std::iter::once(&atom.expr.constant))
-    {
-        denom_lcm = lcm(&denom_lcm, c.denom());
-    }
-    let scale = BigRational::from_int(denom_lcm);
-    let mut g = BigInt::zero();
-    for c in atom.expr.coeffs.values() {
-        let scaled = (c * &scale).floor();
-        g = g.gcd(&scaled);
-    }
-    if g.is_zero() || g == BigInt::one() {
-        return false;
-    }
-    let k = (&atom.expr.constant * &scale).floor();
-    !(&k % &g).is_zero()
+    Ok(sub.point(&values))
 }
 
-fn assert_atom(
-    simplex: &mut Simplex,
-    var_index: &BTreeMap<SymbolId, usize>,
-    atom: &LinAtom,
-) -> bool {
+fn assert_atom(simplex: &mut Simplex, atom: &ColAtom) -> bool {
     // expr rel 0  becomes  Σ c x rel -k  on a slack row.
-    let combination: Vec<(usize, BigRational)> = atom
-        .expr
-        .coeffs
-        .iter()
-        .map(|(v, c)| (var_index[v], c.clone()))
-        .collect();
-    let rhs = -atom.expr.constant.clone();
-    if combination.is_empty() {
+    let rhs = -atom.constant.clone();
+    if atom.terms.is_empty() {
         // Ground atom.
         let lhs = BigRational::zero();
         return match atom.rel {
@@ -351,10 +650,10 @@ fn assert_atom(
             Rel::Ne => lhs != rhs,
         };
     }
-    let slack = if combination.len() == 1 && combination[0].1 == BigRational::one() {
-        combination[0].0
+    let slack = if atom.terms.len() == 1 && atom.terms[0].1 == BigRational::one() {
+        atom.terms[0].0
     } else {
-        simplex.add_row(&combination)
+        simplex.add_row(&atom.terms)
     };
     match atom.rel {
         Rel::Le => simplex.assert_upper(slack, DeltaRat::rational(rhs)),
@@ -367,37 +666,38 @@ fn assert_atom(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Branch-and-bound stops this deep and answers
+/// `Unknown(`[`UnknownReason::Incomplete`]`)`.
+const MAX_DEPTH: u32 = 64;
+
 fn solve_rec(
     mut simplex: Simplex,
-    var_index: &BTreeMap<SymbolId, usize>,
-    disequalities: &[&LinAtom],
+    order: &[usize],
+    disequalities: &[&ColAtom],
     is_int: bool,
     budget: &Budget,
     stats: &mut SolverStats,
     depth: u32,
-) -> ConjunctionResult {
-    if depth > 64 || budget.exhausted() {
-        return ConjunctionResult::Unknown;
+) -> Search {
+    if budget.exhausted() {
+        return Err(NoPoint::Unknown(UnknownReason::BudgetExhausted));
+    }
+    if depth > MAX_DEPTH {
+        return Err(NoPoint::Unknown(UnknownReason::Incomplete));
     }
     stats.bb_nodes += 1;
     let feasibility = simplex.check(budget);
     stats.pivots += simplex.pivots;
     match feasibility {
-        Feasibility::Infeasible => return ConjunctionResult::Unsat,
-        Feasibility::Unknown => return ConjunctionResult::Unknown,
+        Feasibility::Infeasible => return Err(NoPoint::Unsat),
+        Feasibility::Unknown => return Err(NoPoint::Unknown(UnknownReason::BudgetExhausted)),
         Feasibility::Feasible => {}
     }
     let values = simplex.concrete_values();
     // Branch-and-bound: force integrality of structural variables.
     if is_int {
-        for (&sym, &idx) in var_index {
-            let v = &values[idx];
-            if v.is_integer() {
-                continue;
-            }
-            let _ = sym;
-            let floor = v.floor();
+        if let Some(&idx) = order.iter().find(|&&idx| !values[idx].is_integer()) {
+            let floor = values[idx].floor();
             // Branch x <= floor(v).
             let mut left = simplex.clone();
             left.pivots = 0;
@@ -405,16 +705,8 @@ fn solve_rec(
                 idx,
                 DeltaRat::rational(BigRational::from_int(floor.clone())),
             ) {
-                match solve_rec(
-                    left,
-                    var_index,
-                    disequalities,
-                    is_int,
-                    budget,
-                    stats,
-                    depth + 1,
-                ) {
-                    ConjunctionResult::Unsat => {}
+                match solve_rec(left, order, disequalities, is_int, budget, stats, depth + 1) {
+                    Err(NoPoint::Unsat) => {}
                     other => return other,
                 }
             }
@@ -425,7 +717,7 @@ fn solve_rec(
             if right.assert_lower(idx, DeltaRat::rational(BigRational::from_int(ceil))) {
                 return solve_rec(
                     right,
-                    var_index,
+                    order,
                     disequalities,
                     is_int,
                     budget,
@@ -433,65 +725,37 @@ fn solve_rec(
                     depth + 1,
                 );
             }
-            return ConjunctionResult::Unsat;
+            return Err(NoPoint::Unsat);
         }
     }
     // Check disequalities at the candidate point.
     for (i, atom) in disequalities.iter().enumerate() {
-        let mut lhs = atom.expr.constant.clone();
-        for (v, c) in &atom.expr.coeffs {
-            lhs = &lhs + &(c * &values[var_index[v]]);
-        }
+        let lhs = atom
+            .terms
+            .iter()
+            .fold(atom.constant.clone(), |acc, (v, c)| {
+                &acc + &(c * &values[*v])
+            });
         if !lhs.is_zero() {
             continue;
         }
         // Violated: split into expr < 0 and expr > 0.
-        let rest = &disequalities[i + 1..];
-        let earlier = &disequalities[..i];
-        let mut remaining: Vec<&LinAtom> = earlier.to_vec();
-        remaining.extend_from_slice(rest);
-        for strict in [
-            LinAtom {
-                expr: atom.expr.clone(),
-                rel: Rel::Lt,
-            },
-            LinAtom {
-                expr: atom.expr.neg(),
-                rel: Rel::Lt,
-            },
-        ] {
+        let mut remaining: Vec<&ColAtom> = disequalities[..i].to_vec();
+        remaining.extend_from_slice(&disequalities[i + 1..]);
+        for negate in [false, true] {
             let mut branch = simplex.clone();
             branch.pivots = 0;
-            if assert_atom(&mut branch, var_index, &strict) {
-                match solve_rec(
-                    branch,
-                    var_index,
-                    &remaining,
-                    is_int,
-                    budget,
-                    stats,
-                    depth + 1,
-                ) {
-                    ConjunctionResult::Unsat => {}
+            if assert_atom(&mut branch, &atom.strict(negate)) {
+                match solve_rec(branch, order, &remaining, is_int, budget, stats, depth + 1) {
+                    Err(NoPoint::Unsat) => {}
                     other => return other,
                 }
             }
         }
-        return ConjunctionResult::Unsat;
+        return Err(NoPoint::Unsat);
     }
-    // All constraints hold at this point: build the model.
-    let mut model = Model::new();
-    for (&sym, &idx) in var_index {
-        let value = if is_int {
-            debug_assert!(values[idx].is_integer());
-            Value::Int(values[idx].floor())
-        } else {
-            Value::Real(values[idx].clone())
-        };
-        model.insert(sym, value);
-    }
-    stats.model_checks += 1;
-    ConjunctionResult::Sat(model)
+    // All constraints hold at this point.
+    Ok(values)
 }
 
 /// Convenience wrapper used by the facade for pure conjunctions of linear
@@ -528,7 +792,7 @@ pub fn solve_linear_script(
                 SatResult::Sat(model)
             }
             ConjunctionResult::Unsat => SatResult::Unsat,
-            ConjunctionResult::Unknown => SatResult::Unknown(UnknownReason::BudgetExhausted),
+            ConjunctionResult::Unknown(reason) => SatResult::Unknown(reason),
         },
     )
 }
@@ -576,7 +840,8 @@ pub fn solve_linear_case_split(
             }
         }
     }
-    let mut any_unknown = false;
+    // An exhausted budget outranks a depth cap as the reason for `unknown`.
+    let mut unknown: Option<UnknownReason> = None;
     for branch in branches {
         match solve_conjunction(&branch, &vars, is_int, budget, stats) {
             ConjunctionResult::Sat(mut model) => {
@@ -590,14 +855,14 @@ pub fn solve_linear_case_split(
                 return Some(SatResult::Sat(model));
             }
             ConjunctionResult::Unsat => {}
-            ConjunctionResult::Unknown => any_unknown = true,
+            ConjunctionResult::Unknown(reason) => {
+                if unknown != Some(UnknownReason::BudgetExhausted) {
+                    unknown = Some(reason);
+                }
+            }
         }
     }
-    Some(if any_unknown {
-        SatResult::Unknown(UnknownReason::BudgetExhausted)
-    } else {
-        SatResult::Unsat
-    })
+    Some(unknown.map_or(SatResult::Unsat, SatResult::Unknown))
 }
 
 /// Disjunctive normal form of one boolean term over linear atoms: a list of
@@ -808,6 +1073,78 @@ mod tests {
             true,
         );
         assert!(r2.is_sat());
+    }
+
+    #[test]
+    fn disequality_split_over_a_pivoted_variable() {
+        // t >= 4 pivots t into the basis before 3t != 12 splits; the split
+        // row must follow t to the witness t = 5.
+        let r = solve(
+            "(declare-fun t () Int)
+             (assert (<= (* (- 2) t) (- 8)))
+             (assert (< (* 3 t) 17))
+             (assert (distinct (* 3 t) 12))",
+            true,
+        );
+        assert!(r.is_sat(), "{r:?}");
+    }
+
+    #[test]
+    fn depth_cap_with_budget_left_is_incomplete() {
+        // 3x - 3y = 1 as two inequalities: no integer point, and no
+        // equality to eliminate, so branch-and-bound descends to its cap.
+        let src = "(declare-fun x () Int)(declare-fun y () Int)
+             (assert (<= (- (* 3 x) (* 3 y)) 1))
+             (assert (>= (- (* 3 x) (* 3 y)) 1))";
+        let script = Script::parse(src).unwrap();
+        let (store, assertions) = (script.store(), script.assertions());
+        let budget = Budget::new(std::time::Duration::from_secs(600), 250_000);
+        let mut stats = SolverStats::default();
+        let r = solve_linear_script(store, assertions, true, &budget, &mut stats);
+        assert_eq!(r, Some(SatResult::Unknown(UnknownReason::Incomplete)));
+        assert!(budget.steps_left() > 0);
+        assert!(stats.bb_nodes > u64::from(MAX_DEPTH));
+        let budget = Budget::new(std::time::Duration::from_secs(600), 250_000);
+        let r = solve_linear_case_split(store, assertions, true, &budget, &mut stats);
+        assert_eq!(r, Some(SatResult::Unknown(UnknownReason::Incomplete)));
+        // A budget that runs out first says so.
+        let budget = Budget::new(std::time::Duration::from_secs(600), 20);
+        let r = solve_linear_script(store, assertions, true, &budget, &mut stats);
+        assert_eq!(r, Some(SatResult::Unknown(UnknownReason::BudgetExhausted)));
+    }
+
+    #[test]
+    fn equalities_are_eliminated_before_any_simplex() {
+        // A pure equality system: four column operations, no simplex.
+        let script = Script::parse(
+            "(declare-fun x () Int)(declare-fun y () Int)(declare-fun z () Int)
+             (assert (= (+ x (* 2 y) (* 3 z)) 7))
+             (assert (= (- y z) 2))",
+        )
+        .unwrap();
+        let solve_with = |steps: u64| {
+            let budget = Budget::new(std::time::Duration::from_secs(600), steps);
+            let mut stats = SolverStats::default();
+            let (store, assertions) = (script.store(), script.assertions());
+            let r = solve_linear_script(store, assertions, true, &budget, &mut stats).unwrap();
+            (r, budget.steps_used(), stats)
+        };
+        let (r, steps, stats) = solve_with(250_000);
+        let SatResult::Sat(model) = r else {
+            panic!("expected sat, got {r:?}");
+        };
+        for &a in script.assertions() {
+            assert_eq!(
+                evaluate(script.store(), a, &model).unwrap(),
+                Value::Bool(true)
+            );
+        }
+        assert_eq!((stats.pivots, stats.bb_nodes), (0, 0));
+        assert_eq!(steps, 4);
+        // The column operations are charged to the budget.
+        let (r, _, _) = solve_with(4);
+        assert_eq!(r, SatResult::Unknown(UnknownReason::BudgetExhausted));
+        assert!(solve_with(5).0.is_sat());
     }
 
     #[test]

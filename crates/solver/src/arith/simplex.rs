@@ -200,7 +200,9 @@ impl Simplex {
     }
 
     /// Adds a slack variable constrained to equal the linear combination,
-    /// returning its index. Bounds asserted on it constrain the form.
+    /// returning its index. Bounds asserted on it constrain the form. The
+    /// combination may name any variable, also after a [`Simplex::check`]
+    /// has made it basic.
     pub fn add_row(&mut self, combination: &[(usize, BigRational)]) -> usize {
         let slack = self.row_of_var.len();
         self.row_of_var.push(Some(self.rows.len()));
@@ -212,9 +214,21 @@ impl Simplex {
             beta = beta.add(&self.assign[*v].scale(c));
         }
         self.assign.push(beta);
+        // Rows range over nonbasic variables only: a basic variable in the
+        // combination (a row added after a `check()` pivoted it in) stands
+        // for its own row, `x_b = Σ_{j≠b} a_j·x_j`.
         let mut coef = vec![BigRational::zero(); slack + 1];
         for (v, c) in combination {
-            coef[*v] = &coef[*v] + c;
+            match self.row_of_var[*v] {
+                Some(r) => {
+                    for (j, a) in self.rows[r].iter().enumerate() {
+                        if j != *v && !a.is_zero() {
+                            coef[j] = &coef[j] + &(c * a);
+                        }
+                    }
+                }
+                None => coef[*v] = &coef[*v] + c,
+            }
         }
         coef[slack] = -BigRational::one();
         // Widen existing rows to the new variable count.
@@ -503,6 +517,30 @@ mod tests {
         assert_eq!(vals[y], r(2));
         assert!(vals[z] >= r(1));
         assert_eq!(vals[t], &vals[z] + &vals[x]);
+    }
+
+    #[test]
+    fn row_over_a_basic_variable_after_a_check() {
+        // -2x <= -8 pivots x into the basis at x = 4. The row 3x added
+        // afterwards must follow x: 3x > 12 moves x off 4, and 3x < 17
+        // keeps it below 17/3.
+        let mut s = Simplex::new();
+        let x = s.add_var();
+        let neg = s.add_row(&[(x, r(-2))]);
+        s.assert_upper(neg, dr(-8));
+        let three = s.add_row(&[(x, r(3))]);
+        s.assert_upper(three, DeltaRat::minus_delta(r(17)));
+        assert_eq!(s.check(&Budget::unlimited()), Feasibility::Feasible);
+        let above = s.add_row(&[(x, r(-3))]);
+        assert!(s.assert_upper(above, DeltaRat::minus_delta(r(-12))));
+        assert_eq!(s.check(&Budget::unlimited()), Feasibility::Feasible);
+        let vals = s.concrete_values();
+        assert!(
+            vals[x] > r(4) && &vals[x] * &r(3) < r(17),
+            "x = {}",
+            vals[x]
+        );
+        assert_eq!(vals[above], &vals[x] * &r(-3));
     }
 
     #[test]
